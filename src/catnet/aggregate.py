@@ -1,11 +1,15 @@
 """Visit-level attention, the global time gate, fusion, and the output head.
 
-Hidden states from the backbone are combined along two routes: scaled
-dot-product self-attention across visits yields per-visit contexts, and a
+Hidden states from the backbone arrive as a padded ``(B, T, H)`` array, zero
+past each patient's number of visits (``lengths``).  They are combined along
+two routes: scaled dot-product self-attention across each patient's own
+visits yields per-visit contexts (one masked ``(B, T, T)`` softmax), and a
 sigmoid gate driven by each visit's elapsed time since the first visit scales
-the hidden states elementwise.  Per visit, the two are added, summed over
-time, concatenated with the encoded demographics, and mapped through a
-sigmoid output layer to per-target probabilities.
+the hidden states elementwise (one kernel call over all ``B * T``
+positions).  Both routes are zero at padded positions.  Per visit, the two
+are added, summed over visits in visit order (padding adds exact zeros),
+concatenated with the encoded demographics, and mapped through a sigmoid
+output layer to per-target probabilities, ``(B, n_targets)``.
 """
 
 from __future__ import annotations
@@ -16,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from catnet import autodiff as ad
+from catnet.backbone import step_mask
 from catnet.time_kernel import TimeKernelParams, time_embed
-
-bce_loss = ad.binary_cross_entropy
 
 
 @dataclass
@@ -47,66 +50,60 @@ class HeadParams:
                 "out_w": self.out_w, "out_b": self.out_b}
 
 
-def visit_self_attention(states):
-    """Per-visit attention contexts over all visits.
+def visit_self_attention(states: ad.Tensor, lengths):
+    """Per-visit attention contexts over each patient's own visits.
 
-    Returns ``(contexts, alpha)``: context t is the alpha-weighted sum of all
-    hidden states, alpha row t the softmax of scaled dot products of state t
-    against every state.
+    Returns ``(contexts, alpha)``: context t of patient b is the alpha-weighted
+    sum of the patient's hidden states, added in visit order; alpha row t is
+    the softmax of scaled dot products of state t against each of them.
+    ``contexts`` is ``(B, T, H)``, zero past each length; ``alpha`` is a list
+    of one ``(T_b, T_b)`` array per patient.
     """
-    if not states:
-        raise ValueError("visit_self_attention needs at least one visit")
-    hidden_dim = states[0].shape[0]
-    stacked = ad.stack(states)
-    inv_scale = 1.0 / math.sqrt(hidden_dim)
-    contexts = []
-    rows = []
-    for h in states:
-        weights = ad.stable_softmax(ad.scale(ad.matmul(stacked, h), inv_scale))
-        contexts.append(ad.weighted_row_sum(weights, stacked))
-        rows.append(weights.data.copy())
-    return contexts, np.stack(rows)
+    mask = step_mask(lengths)
+    if states.data.ndim != 3 or states.shape[:2] != mask.shape:
+        raise ValueError(f"visit_self_attention: states {states.shape} vs lengths {list(lengths)}")
+    logits = ad.scale(ad.einsum("bqh,bkh->bqk", states, states), 1.0 / math.sqrt(states.shape[-1]))
+    alpha = ad.stable_softmax(logits, mask[:, None, :])
+    contexts = ad.weighted_row_sum(alpha, states, sort=False)
+    if not mask.all():
+        contexts = ad.mul(contexts, ad.tensor(mask[:, :, None]))
+    return contexts, [alpha.data[b, :n, :n] for b, n in enumerate(lengths)]
 
 
-def global_time_gate(states, delta_global, kernel: TimeKernelParams):
+def global_time_gate(states: ad.Tensor, delta_global, lengths, kernel: TimeKernelParams):
     """Elementwise sigmoid gates from each visit's global decay time.
 
-    ``delta_global`` must start at 0 and be non-decreasing (already scaled by
-    the caller).  Returns ``(gated_states, gates)``.
+    ``delta_global`` is ``(B, T)`` (already scaled by the caller); each row
+    must start at 0 and be non-decreasing up to its length, and entries past
+    it are ignored.  Returns ``(gated_states, gates)``: ``gated_states`` is
+    ``(B, T, H)``, zero wherever ``states`` is; ``gates`` is a list of one
+    ``(T_b, H)`` array per patient.
     """
-    deltas = [float(d) for d in delta_global]
-    if len(deltas) != len(states):
-        raise ValueError(f"{len(deltas)} decay times for {len(states)} visits")
-    if deltas and deltas[0] != 0.0:
+    mask = step_mask(lengths)
+    deltas = np.asarray(delta_global, dtype=np.float64)
+    if deltas.shape != mask.shape:
+        raise ValueError(f"decay times of shape {deltas.shape} for visits of shape {mask.shape}")
+    if np.any(deltas[:, 0] != 0.0):
         raise ValueError("global decay times must start at 0")
-    if any(b < a for a, b in zip(deltas, deltas[1:])):
+    if np.any((np.diff(deltas, axis=1) < 0) & mask[:, 1:]):
         raise ValueError("global decay times must be non-decreasing")
-    gated = []
-    gate_values = []
-    for h, d in zip(states, deltas):
-        gate = ad.sigmoid(time_embed(d, kernel))
-        gated.append(ad.mul(gate, h))
-        gate_values.append(gate.data.copy())
-    return gated, np.stack(gate_values)
+    gates = ad.sigmoid(time_embed(np.where(mask, deltas, 0.0), kernel))
+    return ad.mul(gates, states), [gates.data[b, :n] for b, n in enumerate(lengths)]
 
 
-def encode_demographics(demo_vector, params: HeadParams) -> ad.Tensor:
-    """Linear map of the raw demographic features (no activation)."""
-    return ad.add(ad.matmul(params.demo_w, ad.tensor(demo_vector)), params.demo_b)
+def encode_demographics(demo, params: HeadParams) -> ad.Tensor:
+    """Linear map of the raw demographic features (no activation), per row of ``demo``."""
+    return ad.linear(ad.tensor(demo), params.demo_w, params.demo_b)
 
 
-def fuse_and_predict(contexts, gated, demo_vector, params: HeadParams) -> ad.Tensor:
+def fuse_and_predict(contexts: ad.Tensor, gated, demo, params: HeadParams) -> ad.Tensor:
     """Per-target probabilities from the two per-visit routes and demographics.
 
-    ``gated`` may be None (global gate ablated), in which case the fused sum
-    uses the attention contexts alone.
+    ``contexts`` and ``gated`` are ``(..., T, H)`` with zeros at padded
+    visits, ``demo`` is ``(..., 3)``.  ``gated`` may be None (global gate
+    ablated), in which case the fused sum uses the attention contexts alone.
     """
-    if gated is None:
-        per_visit = list(contexts)
-    else:
-        per_visit = [ad.add(c, g) for c, g in zip(contexts, gated)]
-    fused = per_visit[0]
-    for v in per_visit[1:]:
-        fused = ad.add(fused, v)
-    features = ad.concat([fused, encode_demographics(demo_vector, params)])
-    return ad.sigmoid(ad.add(ad.matmul(params.out_w, features), params.out_b))
+    per_visit = contexts if gated is None else ad.add(contexts, gated)
+    fused = ad.sum_over(per_visit, axis=-2)
+    features = ad.concat([fused, encode_demographics(demo, params)])
+    return ad.sigmoid(ad.linear(features, params.out_w, params.out_b))

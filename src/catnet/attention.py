@@ -1,18 +1,24 @@
-"""Cross-event attention over the codes of one visit plus its interval token.
+"""Cross-event attention inside every visit of a batch, all visits at once.
 
-Every code present in a visit contributes its embedding as a token, laid out
-in a fixed global order (med, diag, lab, proc, ascending code index), followed
-by one interval token carrying the embedded gap since the previous visit.
-Attention runs over present tokens only; absent vocabulary codes never enter
-the key set, so enlarging a vocabulary with unused codes cannot disturb the
-result.
+A batch of V visits becomes a padded ``(V, K, E)`` token array.  Visit v holds
+its present codes in a fixed global order (med, diag, lab, proc, ascending
+code index), then one interval token carrying the embedded gap since the
+previous visit, then zero padding up to K, the token count of the batch's
+longest visit.  Attention runs over present tokens only: a ``(V, K)`` mask
+hides the padding from every softmax, and absent vocabulary codes never enter
+the key set.  So neither a longer visit elsewhere in the batch nor a larger
+vocabulary of unused codes can change a visit's result.
 
-Two query regimes exist.  Task-aware attention queries only the tokens of the
+Two query regimes exist.  Task-aware attention queries with the tokens of the
 prediction target's own event type plus the interval token; task-unaware
-attention queries every token.  Keys and values are all present tokens in both
-regimes.  Each query's output is its own embedding plus the attention-weighted
-sum of all key embeddings, written into a fixed per-code slot of the visit
-vector; slots of absent codes stay zero.
+attention queries with every token.  Keys and values are all present tokens in
+both regimes.  Each query's output is its own embedding plus the
+attention-weighted sum of all key embeddings, written into a fixed per-code
+slot of the visit vector; slots of absent codes stay zero.  Every token is
+scored as a query in one masked ``(V, K, K)`` softmax, and only the query
+tokens' outputs are placed in slots.  The weighted sums add their K summands
+in ascending value order, so relabelling codes within a type permutes slots
+and weights and changes no bit of any value.
 """
 
 from __future__ import annotations
@@ -26,6 +32,8 @@ from catnet import autodiff as ad
 from catnet.cohort import EVENT_TYPES, VocabSpec
 
 TIME_TOKEN = "time"
+_TOKEN_TYPES = EVENT_TYPES + (TIME_TOKEN,)  # token type ids index this; padding is -1
+_TIME_ID = len(EVENT_TYPES)
 
 
 @dataclass
@@ -41,39 +49,63 @@ class CodeEmbeddings:
                   for etype in EVENT_TYPES}
         return cls(tables=tables, embed_dim=embed_dim)
 
-    def row(self, event_type: str, code: int) -> ad.Tensor:
-        return ad.take_row(self.tables[event_type], code)
-
     def named(self) -> dict:
         return {f"emb_{etype}": self.tables[etype] for etype in EVENT_TYPES}
 
 
 @dataclass
-class VisitTokenSet:
-    """Present-code tokens in fixed order, interval token last."""
+class TokenBatch:
+    """Padded tokens of V visits: present codes in global order, interval token last.
 
-    tokens: list
-    meta: list
-    embed_dim: int
+    ``values`` is ``(V, K, E)`` with zero rows at padding; ``type_ids`` and
+    ``codes`` are ``(V, K)`` and name each token (type id -1 marks padding).
+    """
 
-    def __post_init__(self):
-        if not self.tokens or self.meta[-1][0] != TIME_TOKEN:
-            raise ValueError("token set must end with the interval token")
+    values: ad.Tensor
+    type_ids: np.ndarray
+    codes: np.ndarray
 
     @property
     def n_tokens(self) -> int:
-        return len(self.tokens)
+        """Present tokens over all visits, interval tokens included."""
+        return int(np.count_nonzero(self.type_ids >= 0))
+
+    def meta(self, v: int) -> list:
+        """``(event type, code)`` of visit v's present tokens, in order."""
+        return [(_TOKEN_TYPES[t], int(c)) for t, c in zip(self.type_ids[v], self.codes[v]) if t >= 0]
 
 
-def build_token_set(visit, embeddings: CodeEmbeddings, interval_token: ad.Tensor) -> VisitTokenSet:
-    tokens, meta = [], []
-    for etype in EVENT_TYPES:
-        for code in visit.codes_for(etype):
-            tokens.append(embeddings.row(etype, code))
-            meta.append((etype, int(code)))
-    tokens.append(interval_token)
-    meta.append((TIME_TOKEN, 0))
-    return VisitTokenSet(tokens=tokens, meta=meta, embed_dim=embeddings.embed_dim)
+def build_token_set(visits, embeddings: CodeEmbeddings, interval_tokens: ad.Tensor,
+                    types=EVENT_TYPES) -> TokenBatch:
+    """Gather the tokens of every visit; codes of event types not in ``types`` are left out.
+
+    ``interval_tokens`` is ``(V, E)``: row v is visit v's interval token.
+    """
+    active = [(tid, etype) for tid, etype in enumerate(EVENT_TYPES) if etype in types]
+    per_visit = [[(tid, visit.codes_for(etype)) for tid, etype in active] for visit in visits]
+    n_visits = len(visits)
+    width = 1 + max(sum(len(codes) for _, codes in row) for row in per_visit)
+    type_ids = np.full((n_visits, width), -1, dtype=np.intp)
+    codes = np.zeros((n_visits, width), dtype=np.intp)
+    for v, row in enumerate(per_visit):
+        k = 0
+        for tid, visit_codes in row:
+            n = len(visit_codes)
+            type_ids[v, k:k + n] = tid
+            codes[v, k:k + n] = visit_codes
+            k += n
+        type_ids[v, k] = _TIME_ID
+
+    # token rows in the stacked table [zero row; med; diag; lab; proc; interval tokens]
+    tables = [embeddings.tables[etype] for etype in EVENT_TYPES]
+    bases = np.cumsum([1] + [t.shape[0] for t in tables])
+    rows = bases[type_ids] + codes
+    is_time = type_ids == _TIME_ID
+    rows[is_time] += np.nonzero(is_time)[0]
+    rows[type_ids < 0] = 0
+    table = ad.concat([ad.tensor(np.zeros((1, embeddings.embed_dim))), *tables, interval_tokens],
+                      axis=0)
+    return TokenBatch(values=ad.take_row(table, rows), type_ids=type_ids, codes=codes)
 
 
 @dataclass
@@ -85,34 +117,68 @@ class AttentionRecord:
     key_meta: list
 
 
-def _slot_layout(mode: str, primary: str, vocab: VocabSpec):
-    """Map token identity -> slot index; returns (mapping, slot count)."""
+@dataclass
+class BatchAttention:
+    """Cross-event attention weights of a batch of visits, still padded.
+
+    ``padded_weights[v, q, k]`` is the weight token q of visit v gives token k
+    (rows of padding and of non-query tokens included); ``slots[v, q]`` is
+    the slot a query token writes, -1 for tokens that do not query.
+    """
+
+    tokens: TokenBatch
+    padded_weights: np.ndarray
+    slots: np.ndarray
+
+    def records(self) -> list:
+        """One :class:`AttentionRecord` per visit, query rows by present key columns."""
+        out = []
+        for v in range(len(self.slots)):
+            meta = self.tokens.meta(v)
+            queries = np.nonzero(self.slots[v] >= 0)[0]
+            out.append(AttentionRecord(
+                weights=self.padded_weights[v][np.ix_(queries, np.arange(len(meta)))],
+                query_meta=[meta[q] for q in queries], key_meta=meta))
+        return out
+
+
+def _slot_bases(mode: str, primary: str, vocab: VocabSpec):
+    """Per token type id, the slot of its code 0 (-1: no slot); and the slot count."""
     if mode == "task-aware":
-        slots = {(primary, c): c for c in range(vocab.size(primary))}
-        slots[(TIME_TOKEN, 0)] = vocab.size(primary)
-        return slots, vocab.size(primary) + 1
-    slots = {}
-    offset = 0
-    for etype in EVENT_TYPES:
-        for c in range(vocab.size(etype)):
-            slots[(etype, c)] = offset + c
-        offset += vocab.size(etype)
-    slots[(TIME_TOKEN, 0)] = offset
-    return slots, offset + 1
+        bases = [0 if etype == primary else -1 for etype in EVENT_TYPES] + [vocab.size(primary)]
+    else:
+        bases = np.cumsum([0] + [vocab.size(etype) for etype in EVENT_TYPES]).tolist()
+    return np.array(bases), bases[-1] + 1
+
+
+def _token_slots(tokens: TokenBatch, mode: str, primary: str, vocab: VocabSpec):
+    """(V, K) slot of every token (-1: padding or no slot), and the slot count."""
+    bases, n_slots = _slot_bases(mode, primary, vocab)
+    base = bases[tokens.type_ids]
+    return np.where((tokens.type_ids >= 0) & (base >= 0), base + tokens.codes, -1), n_slots
 
 
 def output_width(mode: str, primary: str, vocab: VocabSpec, embed_dim: int) -> int:
-    _, n_slots = _slot_layout(mode, primary, vocab)
-    return n_slots * embed_dim
+    return _slot_bases(mode, primary, vocab)[1] * embed_dim
 
 
-def attend(token_set: VisitTokenSet, mode: str, primary: str = None,
-           vocab: VocabSpec = None):
-    """Visit vector and attention weights for one visit.
+def _place_in_slots(values: ad.Tensor, slots: np.ndarray, n_slots: int) -> ad.Tensor:
+    """(V, n_slots * E) visit vectors: token rows of ``values`` at their slots, zeros elsewhere."""
+    n_visits, width, embed_dim = values.shape
+    v, k = np.nonzero(slots >= 0)
+    source = np.zeros((n_visits, n_slots), dtype=np.intp)   # row 0 of ``flat`` is zero
+    source[v, slots[v, k]] = 1 + v * width + k
+    flat = ad.concat([ad.tensor(np.zeros((1, embed_dim))),
+                      ad.reshape(values, (n_visits * width, embed_dim))], axis=0)
+    return ad.reshape(ad.take_row(flat, source), (n_visits, n_slots * embed_dim))
 
-    Returns ``(o_t, record)`` where ``o_t`` is the concatenation of per-slot
-    outputs (width ``output_width(...)``) and ``record`` holds the weight
-    matrix with query/key metadata.
+
+def attend(tokens: TokenBatch, mode: str, primary: str = None, vocab: VocabSpec = None):
+    """Visit vectors and attention weights for a batch of visits.
+
+    Returns ``(vectors, attention)``: ``vectors`` is ``(V, output_width(...))``,
+    the concatenation of per-slot outputs of each visit, and ``attention`` a
+    :class:`BatchAttention`.
     """
     if mode not in ("task-aware", "task-unaware"):
         raise ValueError(f"unknown attention mode {mode!r}")
@@ -121,48 +187,23 @@ def attend(token_set: VisitTokenSet, mode: str, primary: str = None,
     if vocab is None:
         raise ValueError("attend requires the vocabulary for the slot layout")
 
-    n = token_set.embed_dim
-    keys = ad.stack(token_set.tokens)
-    inv_scale = 1.0 / math.sqrt(n)
-
-    if mode == "task-aware":
-        query_ids = [i for i, (etype, _) in enumerate(token_set.meta)
-                     if etype in (primary, TIME_TOKEN)]
-    else:
-        query_ids = list(range(token_set.n_tokens))
-
-    slot_map, n_slots = _slot_layout(mode, primary, vocab)
-    zero = ad.tensor(np.zeros(n))
-    parts = [zero] * n_slots
-    weight_rows = []
-    for qi in query_ids:
-        q = token_set.tokens[qi]
-        logits = ad.scale(ad.matmul(keys, q), inv_scale)
-        w = ad.stable_softmax(logits)
-        out = ad.add(q, ad.weighted_row_sum(w, keys))
-        parts[slot_map[token_set.meta[qi]]] = out
-        weight_rows.append(w.data.copy())
-
-    record = AttentionRecord(weights=np.stack(weight_rows),
-                             query_meta=[token_set.meta[i] for i in query_ids],
-                             key_meta=list(token_set.meta))
-    return ad.concat(parts), record
+    x = tokens.values
+    logits = ad.scale(ad.einsum("vqe,vke->vqk", x, x), 1.0 / math.sqrt(x.shape[-1]))
+    weights = ad.stable_softmax(logits, tokens.type_ids[:, None, :] >= 0)
+    out = ad.add(x, ad.weighted_row_sum(weights, x))
+    slots, n_slots = _token_slots(tokens, mode, primary, vocab)
+    return (_place_in_slots(out, slots, n_slots),
+            BatchAttention(tokens=tokens, padded_weights=weights.data, slots=slots))
 
 
-def raw_slot_layout(token_set: VisitTokenSet, mode: str, primary: str,
-                    vocab: VocabSpec) -> ad.Tensor:
-    """Visit vector with raw embeddings in their slots and no attention.
+def raw_slot_layout(tokens: TokenBatch, mode: str, primary: str, vocab: VocabSpec) -> ad.Tensor:
+    """Visit vectors with raw embeddings in their slots and no attention.
 
     This is the drop-in replacement used when cross-event attention is
     ablated; layout and width match :func:`attend` exactly.
     """
-    slot_map, n_slots = _slot_layout(mode, primary, vocab)
-    zero = ad.tensor(np.zeros(token_set.embed_dim))
-    parts = [zero] * n_slots
-    for token, m in zip(token_set.tokens, token_set.meta):
-        if m in slot_map:
-            parts[slot_map[m]] = token
-    return ad.concat(parts)
+    slots, n_slots = _token_slots(tokens, mode, primary, vocab)
+    return _place_in_slots(tokens.values, slots, n_slots)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,18 @@ accumulates gradients into every tensor with ``requires_grad=True``.  Outside
 an active tape, operations compute values only, which is how evaluation-mode
 forward passes run.
 
+Ops work on whole batches: elementwise ops broadcast like numpy, and the
+contraction, softmax and weighted-sum ops take any leading batch axes.  Every
+op result is checked for finiteness once; the error names the op and the
+shapes of its inputs.
+
+Forward contractions run through ``np.einsum`` without path optimisation, so
+each output entry is one dot product over the contracted axis, computed the
+same way whatever the number of rows; a BLAS product is not row-stable in
+that sense.  Sums over an axis that padding fills with zeros are taken in a
+fixed sequential order (:func:`sum_over`, :func:`stable_softmax`,
+:func:`weighted_row_sum`), so padding never changes a result bit.
+
 Tensors are immutable after creation except for their ``grad`` buffer.  A tape
 and the tensors recorded on it belong to a single thread; independent tapes on
 different threads do not interact.
@@ -57,8 +69,11 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise FloatingPointError("tensor created with non-finite values")
+        self._set(arr, requires_grad)
+
+    def _set(self, arr, requires_grad):
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
@@ -76,33 +91,11 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def numpy(self):
-        return np.array(self.data)
-
     def zero_grad(self):
         self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def tensor(data):
@@ -115,14 +108,17 @@ def parameter(data):
     return Tensor(data, requires_grad=True)
 
 
-def _result(data, inputs, backward_fn):
-    """Wrap an op result, recording it when a tape is active."""
-    if not np.all(np.isfinite(data)):
-        raise FloatingPointError("operation produced non-finite values")
+def _result(op, data, inputs, backward_fn):
+    """Wrap an op result after its one finiteness check; record it when a tape is active."""
+    data = np.asarray(data, dtype=np.float64)
+    if not np.isfinite(data).all():
+        shapes = ", ".join(str(t.data.shape) for t in inputs)
+        raise FloatingPointError(f"{op} produced non-finite values from inputs of shape {shapes}")
     tape = _active_tape()
-    needs = any(t.requires_grad for t in inputs)
-    out = Tensor(data, requires_grad=needs and tape is not None)
-    if tape is not None and needs:
+    needs = tape is not None and any(t.requires_grad for t in inputs)
+    out = Tensor.__new__(Tensor)
+    out._set(data, needs)
+    if needs:
         tape._record(out, backward_fn)
     return out
 
@@ -138,7 +134,10 @@ def _accum(t, delta):
 def backward(loss):
     """Populate ``grad`` on every ``requires_grad`` tensor below ``loss``.
 
-    ``loss`` must be a scalar recorded on an active-or-finished tape.
+    ``loss`` must be a scalar recorded on an active-or-finished tape.  The
+    tape is replayed once and then released: its records and the tensors
+    they hold form reference cycles, which would otherwise keep every
+    intermediate array alive until the cyclic garbage collector next runs.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")
@@ -147,8 +146,11 @@ def backward(loss):
     tape = loss._tape
     if tape is None:
         raise ValueError("loss was not recorded on a tape; no parameters reachable")
+    if tape._nodes is None:
+        raise ValueError("the loss's tape was already replayed by an earlier backward")
     loss.grad = np.ones_like(loss.data)
-    for out, backward_fn in reversed(tape._nodes[: loss._index + 1]):
+    nodes, tape._nodes = tape._nodes, None
+    for out, backward_fn in reversed(nodes[: loss._index + 1]):
         if out.grad is None:
             continue
         backward_fn(out.grad)
@@ -159,39 +161,62 @@ def backward(loss):
 # ---------------------------------------------------------------------------
 
 
-def _check_same_shape(op, a, b):
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"{op}: shape mismatch {a.data.shape} vs {b.data.shape}")
+def _broadcast(op, a, b):
+    try:
+        np.broadcast_shapes(a.data.shape, b.data.shape)
+    except ValueError:
+        raise ValueError(f"{op}: shape mismatch {a.data.shape} vs {b.data.shape}") from None
+
+
+def _unbroadcast(g, shape):
+    """Sum ``g`` down to ``shape`` over the axes that broadcasting expanded.
+
+    Leading axes are summed row after row, so rows of zeros (padding) leave
+    the gradient bitwise unchanged.
+    """
+    if g.shape == shape:
+        return g
+    lead = g.ndim - len(shape)
+    if lead:
+        g = np.cumsum(g.reshape((-1,) + g.shape[lead:]), axis=0)[-1]
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    return g.sum(axis=axes, keepdims=True) if axes else g
 
 
 def add(a, b):
-    _check_same_shape("add", a, b)
+    _broadcast("add", a, b)
 
     def bwd(g):
-        _accum(a, g)
-        _accum(b, g)
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
 
-    return _result(a.data + b.data, (a, b), bwd)
+    return _result("add", a.data + b.data, (a, b), bwd)
 
 
 def sub(a, b):
-    _check_same_shape("sub", a, b)
+    _broadcast("sub", a, b)
 
     def bwd(g):
-        _accum(a, g)
-        _accum(b, -g)
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, -_unbroadcast(g, b.data.shape))
 
-    return _result(a.data - b.data, (a, b), bwd)
+    return _result("sub", a.data - b.data, (a, b), bwd)
 
 
 def mul(a, b):
-    _check_same_shape("mul", a, b)
+    _broadcast("mul", a, b)
 
     def bwd(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
-    return _result(a.data * b.data, (a, b), bwd)
+    return _result("mul", a.data * b.data, (a, b), bwd)
 
 
 def scale(t, c):
@@ -201,7 +226,7 @@ def scale(t, c):
     def bwd(g):
         _accum(t, g * c)
 
-    return _result(t.data * c, (t,), bwd)
+    return _result("scale", t.data * c, (t,), bwd)
 
 
 def affine(t, scale_c, shift_c):
@@ -211,7 +236,7 @@ def affine(t, scale_c, shift_c):
     def bwd(g):
         _accum(t, g * scale_c)
 
-    return _result(scale_c * t.data + float(shift_c), (t,), bwd)
+    return _result("affine", scale_c * t.data + float(shift_c), (t,), bwd)
 
 
 def tanh(t):
@@ -220,73 +245,121 @@ def tanh(t):
     def bwd(g):
         _accum(t, g * (1.0 - out_data * out_data))
 
-    return _result(out_data, (t,), bwd)
+    return _result("tanh", out_data, (t,), bwd)
 
 
 def sigmoid(t):
     x = t.data
-    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    out_data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def bwd(g):
         _accum(t, g * out_data * (1.0 - out_data))
 
-    return _result(out_data, (t,), bwd)
+    return _result("sigmoid", out_data, (t,), bwd)
+
+
+def einsum(spec, a, b):
+    """Two-operand ``np.einsum`` with explicit output, e.g. ``"vqe,vke->vqk"``.
+
+    Every index of one operand must also appear in the other operand or in
+    the output, so that each gradient is itself a two-operand contraction.
+    Gradients are contracted the same way as values, so zero-gradient rows
+    (padding) leave them bitwise unchanged.
+    """
+    inputs, out = spec.split("->")
+    sa, sb = inputs.split(",")
+    if set(sa) - set(sb + out) or set(sb) - set(sa + out):
+        raise ValueError(f"einsum {spec!r}: every index must appear in two of the three terms")
+    try:
+        out_data = np.einsum(spec, a.data, b.data)
+    except ValueError:
+        raise ValueError(f"einsum {spec!r}: shape mismatch {a.data.shape} vs {b.data.shape}") from None
+
+    def bwd(g):
+        if a.requires_grad:
+            _accum(a, np.einsum(f"{out},{sb}->{sa}", g, b.data))
+        if b.requires_grad:
+            _accum(b, np.einsum(f"{sa},{out}->{sb}", a.data, g))
+
+    return _result("einsum", out_data, (a, b), bwd)
+
+
+_MATMUL_SPECS = {(2, 2): "ij,jk->ik", (2, 1): "ij,j->i", (1, 2): "i,ij->j", (1, 1): "i,i->"}
 
 
 def matmul(a, b):
-    """Matrix product with numpy semantics for 1-D operands."""
-    ad, bd = a.data, b.data
-    if ad.ndim == 0 or bd.ndim == 0:
-        raise ValueError(f"matmul: operands must be 1-D or 2-D, got {ad.shape} and {bd.shape}")
-    if ad.shape[-1] != (bd.shape[0] if bd.ndim >= 1 else None):
-        raise ValueError(f"matmul: shape mismatch {ad.shape} vs {bd.shape}")
-    out_data = np.matmul(ad, bd)
-
-    def bwd(g):
-        a2 = ad.reshape(1, -1) if ad.ndim == 1 else ad
-        b2 = bd.reshape(-1, 1) if bd.ndim == 1 else bd
-        g2 = g.reshape(a2.shape[0], b2.shape[1])
-        _accum(a, (g2 @ b2.T).reshape(ad.shape))
-        _accum(b, (a2.T @ g2).reshape(bd.shape))
-
-    return _result(out_data, (a, b), bwd)
+    """Matrix product with numpy semantics for 1-D and 2-D operands."""
+    ad_, bd = a.data, b.data
+    spec = _MATMUL_SPECS.get((ad_.ndim, bd.ndim))
+    if spec is None:
+        raise ValueError(f"matmul: operands must be 1-D or 2-D, got {ad_.shape} and {bd.shape}")
+    if ad_.shape[-1] != bd.shape[0]:
+        raise ValueError(f"matmul: shape mismatch {ad_.shape} vs {bd.shape}")
+    return einsum(spec, a, b)
 
 
-def concat(parts):
-    """Concatenate 1-D tensors into one 1-D tensor."""
-    for p in parts:
-        if p.data.ndim != 1:
-            raise ValueError(f"concat: expected 1-D parts, got shape {p.data.shape}")
+def linear(x, w, b=None):
+    """``x @ w.T (+ b)`` over any leading axes of ``x``; ``w`` is (out, in)."""
+    lead = "abcdefgh"[: x.data.ndim - 1]
+    y = einsum(f"{lead}i,oi->{lead}o", x, w)
+    return y if b is None else add(y, b)
+
+
+def concat(parts, axis=-1):
+    """Concatenate tensors along one axis (the last by default)."""
     parts = list(parts)
-    sizes = [p.data.shape[0] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    try:
+        out_data = np.concatenate([p.data for p in parts], axis=axis)
+    except ValueError:
+        shapes = [p.data.shape for p in parts]
+        raise ValueError(f"concat: part shapes {shapes} differ off axis {axis}") from None
+    axis %= out_data.ndim
+    offsets = np.cumsum([0] + [p.data.shape[axis] for p in parts])
 
     def bwd(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accum(p, g[lo:hi])
+            _accum(p, g[(slice(None),) * axis + (slice(lo, hi),)])
 
-    return _result(np.concatenate([p.data for p in parts]), parts, bwd)
+    return _result("concat", out_data, parts, bwd)
 
 
-def stack(rows):
-    """Stack equal-length 1-D tensors into a 2-D tensor, one per row."""
+def stack(rows, axis=0):
+    """Stack equal-shape tensors along a new axis."""
     rows = list(rows)
-    width = rows[0].data.shape[0]
+    shape = rows[0].data.shape
     for r in rows:
-        if r.data.shape != (width,):
-            raise ValueError(f"stack: row shape mismatch {r.data.shape} vs {(width,)}")
+        if r.data.shape != shape:
+            raise ValueError(f"stack: row shape mismatch {r.data.shape} vs {shape}")
 
     def bwd(g):
         for i, r in enumerate(rows):
-            _accum(r, g[i])
+            _accum(r, np.take(g, i, axis=axis))
 
-    return _result(np.stack([r.data for r in rows]), rows, bwd)
+    return _result("stack", np.stack([r.data for r in rows], axis=axis), rows, bwd)
+
+
+def reshape(t, shape):
+    """Same entries, new shape."""
+    old = t.data.shape
+
+    def bwd(g):
+        _accum(t, g.reshape(old))
+
+    return _result("reshape", t.data.reshape(shape), (t,), bwd)
 
 
 def sum_over(t, axis=None):
-    """Sum over all entries (axis=None) or along one axis."""
+    """Sum over all entries (axis=None) or along one axis.
+
+    Along an axis the entries are added one after another in index order, so
+    trailing zeros (padding) leave the sum bitwise unchanged.
+    """
     shape = t.data.shape
+    if axis is None:
+        out_data = np.sum(t.data)
+    else:
+        out_data = np.take(np.cumsum(t.data, axis=axis), -1, axis=axis)
 
     def bwd(g):
         if axis is None:
@@ -294,7 +367,7 @@ def sum_over(t, axis=None):
         else:
             _accum(t, np.broadcast_to(np.expand_dims(g, axis), shape).copy())
 
-    return _result(np.sum(t.data, axis=axis), (t,), bwd)
+    return _result("sum_over", out_data, (t,), bwd)
 
 
 def mean(t):
@@ -302,18 +375,22 @@ def mean(t):
 
 
 def take_row(table, index):
-    """Row gather from a 2-D table; backward scatter-adds into the table."""
-    if table.data.ndim != 2:
-        raise ValueError(f"take_row: expected 2-D table, got shape {table.data.shape}")
-    index = int(index)
+    """Rows of ``table`` along its first axis, by an int or an int array.
+
+    The result has shape ``index.shape + table.shape[1:]``; backward
+    scatter-adds into the table, once per use of a row.
+    """
+    if table.data.ndim < 2:
+        raise ValueError(f"take_row: expected a table of rows, got shape {table.data.shape}")
+    index = int(index) if np.ndim(index) == 0 else np.asarray(index, dtype=np.intp)
 
     def bwd(g):
         if table.requires_grad:
             if table.grad is None:
                 table.grad = np.zeros_like(table.data)
-            table.grad[index] += g
+            np.add.at(table.grad, index, g)
 
-    return _result(table.data[index].copy(), (table,), bwd)
+    return _result("take_row", np.take(table.data, index, axis=0), (table,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -322,55 +399,64 @@ def take_row(table, index):
 
 
 def stable_softmax(logits, mask=None):
-    """Masked softmax over a 1-D tensor, computed with max-subtraction.
+    """Masked softmax over the last axis, computed with max-subtraction.
 
-    Masked entries come out exactly 0; unmasked entries are positive and sum
-    to 1.  An all-false mask is an error ("empty attention support").
+    ``mask`` broadcasts against ``logits``.  Masked entries come out exactly 0;
+    unmasked entries are positive and sum to 1.  The denominator adds the
+    exponentials in ascending value order, so the result depends neither on
+    the order of the entries nor on how many masked entries pad a row.  A row
+    with an all-false mask is an error ("empty attention support").
     """
-    if logits.data.ndim != 1:
-        raise ValueError(f"stable_softmax: expected 1-D logits, got shape {logits.data.shape}")
-    n = logits.data.shape[0]
+    x = logits.data
     if mask is None:
-        mask = np.ones(n, dtype=bool)
+        mask = np.ones(x.shape, dtype=bool)
     else:
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (n,):
-            raise ValueError(f"stable_softmax: mask shape {mask.shape} vs logits {logits.data.shape}")
-    if not mask.any():
+        try:
+            mask = np.broadcast_to(mask, x.shape)
+        except ValueError:
+            raise ValueError(
+                f"stable_softmax: mask shape {mask.shape} vs logits {x.shape}") from None
+    if not mask.any(axis=-1).all():
         raise ValueError("empty attention support")
-    x = logits.data[mask]
-    e = np.exp(x - np.max(x))
-    # value-sorted denominator: result independent of entry order
-    probs = np.zeros(n, dtype=np.float64)
-    probs[mask] = e / np.sort(e).sum()
+    top = np.max(np.where(mask, x, -np.inf), axis=-1, keepdims=True)
+    e = np.exp(np.where(mask, x - top, -np.inf))
+    probs = e / np.cumsum(np.sort(e, axis=-1), axis=-1)[..., -1:]
 
     def bwd(g):
-        inner = float(np.dot(g[mask], probs[mask]))
-        d = np.zeros(n, dtype=np.float64)
-        d[mask] = probs[mask] * (g[mask] - inner)
-        _accum(logits, d)
+        inner = np.cumsum(g * probs, axis=-1)[..., -1:]
+        _accum(logits, probs * (g - inner))
 
-    return _result(probs, (logits,), bwd)
+    return _result("stable_softmax", probs, (logits,), bwd)
 
 
-def weighted_row_sum(weights, rows):
-    """Sum of rows scaled by per-row weights: (k,) x (k, n) -> (n,).
+def weighted_row_sum(weights, rows, sort=True):
+    """``weights @ rows`` summed in a fixed order: (..., Q, K) x (..., K, N).
 
-    Per-column summands are accumulated in sorted value order, so the result
-    does not depend on how the rows happen to be ordered.
+    With ``sort`` the K summands of each output entry are added in ascending
+    value order, so the result does not depend on how the rows are ordered
+    (this materialises all Q*K*N products).  Without it they are added in row
+    order, one row at a time.  Either way zero-weight padding rows leave the
+    result bitwise unchanged.
     """
-    if weights.data.ndim != 1 or rows.data.ndim != 2 \
-            or weights.data.shape[0] != rows.data.shape[0]:
-        raise ValueError(
-            f"weighted_row_sum: shape mismatch {weights.data.shape} vs {rows.data.shape}")
-    products = weights.data[:, None] * rows.data
-    out_data = np.sort(products, axis=0).sum(axis=0)
+    w, r = weights.data, rows.data
+    if w.ndim < 2 or w.shape[-1] != r.shape[-2] or w.shape[:-2] != r.shape[:-2]:
+        raise ValueError(f"weighted_row_sum: shape mismatch {w.shape} vs {r.shape}")
+    if sort:
+        products = w[..., :, :, None] * r[..., None, :, :]
+        out = np.cumsum(np.sort(products, axis=-2), axis=-2)[..., -1, :]
+    else:
+        out = np.zeros(w.shape[:-1] + r.shape[-1:])
+        for k in range(r.shape[-2]):
+            out += w[..., :, k, None] * r[..., None, k, :]
 
     def bwd(g):
-        _accum(weights, rows.data @ g)
-        _accum(rows, weights.data[:, None] * g[None, :])
+        if weights.requires_grad:
+            _accum(weights, np.einsum("...qn,...kn->...qk", g, r))
+        if rows.requires_grad:
+            _accum(rows, np.einsum("...qk,...qn->...kn", w, g))
 
-    return _result(out_data, (weights, rows), bwd)
+    return _result("weighted_row_sum", out, (weights, rows), bwd)
 
 
 BCE_EPS = 1e-7
@@ -379,21 +465,21 @@ BCE_EPS = 1e-7
 def binary_cross_entropy(pred, target):
     """Mean binary cross-entropy of probabilities against 0/1 targets.
 
-    Predictions are clamped to [BCE_EPS, 1 - BCE_EPS]; clamped components get
-    zero gradient.
+    ``target`` has the shape of ``pred``; the mean runs over every entry, so a
+    (B, n) batch gives the mean of its B per-row losses.  Predictions are
+    clamped to [BCE_EPS, 1 - BCE_EPS]; clamped components get zero gradient.
     """
-    y = np.asarray(target, dtype=np.float64).reshape(-1)
-    if pred.data.ndim != 1 or pred.data.shape != y.shape:
+    y = np.asarray(target, dtype=np.float64)
+    if y.shape != pred.data.shape:
         raise ValueError(f"binary_cross_entropy: shape mismatch {pred.data.shape} vs {y.shape}")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("binary_cross_entropy: targets must be 0 or 1")
     p = np.clip(pred.data, BCE_EPS, 1.0 - BCE_EPS)
-    k = y.shape[0]
     loss = -np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
 
     def bwd(g):
         inside = (pred.data > BCE_EPS) & (pred.data < 1.0 - BCE_EPS)
-        d = np.where(inside, (-y / p + (1.0 - y) / (1.0 - p)) / k, 0.0)
+        d = np.where(inside, (-y / p + (1.0 - y) / (1.0 - p)) / y.size, 0.0)
         _accum(pred, float(g) * d)
 
-    return _result(loss, (pred,), bwd)
+    return _result("binary_cross_entropy", loss, (pred,), bwd)

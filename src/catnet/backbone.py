@@ -1,14 +1,19 @@
-"""Recurrent encoding of visit-vector sequences into per-visit hidden states.
+"""Recurrent encoding of a batch of visit-vector sequences into hidden states.
 
-Single-layer, unidirectional GRU or LSTM cells with zero initial state.
-Sequences in a batch are processed independently up to their own lengths, so
-batch composition and trailing padding can never change a sequence's hidden
-states or gradients.
+Single-layer, unidirectional GRU or LSTM cells with zero initial state.  A
+batch of B sequences arrives packed: ``inputs`` holds the V = sum(lengths)
+input vectors one sequence after another, and ``lengths`` says how many
+belong to each.  Each gate's input projection runs once over all V rows; the
+recurrence then runs T = max(lengths) steps on ``(B, H)`` state arrays.  The
+``(B, T)`` step mask zeroes every state past a sequence's length, so padded
+positions read as zeros, and a sequence's own steps never read another row.
+Batch composition and trailing padding therefore never change a sequence's
+hidden states or gradients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,92 +49,48 @@ class RecurrentParams:
     def named(self, prefix: str = "rnn") -> dict:
         return {f"{prefix}_{name}": t for name, t in self.weights.items()}
 
-    def _gate(self, gate: str, x, h):
-        w = self.weights[f"w{gate}"]
-        u = self.weights[f"u{gate}"]
-        b = self.weights[f"b{gate}"]
-        return ad.add(ad.add(ad.matmul(w, x), ad.matmul(u, h)), b)
+
+def step_mask(lengths) -> np.ndarray:
+    """``(B, T)`` booleans, True at the steps each sequence has."""
+    lengths = np.asarray(lengths)
+    return np.arange(lengths.max()) < lengths[:, None]
 
 
-def gru_cell(h_prev: ad.Tensor, x: ad.Tensor, params: RecurrentParams) -> ad.Tensor:
-    """One GRU step: h = (1 - z) * h_prev + z * candidate."""
-    z = ad.sigmoid(params._gate("z", x, h_prev))
-    r = ad.sigmoid(params._gate("r", x, h_prev))
-    candidate = ad.tanh(ad.add(ad.add(ad.matmul(params.weights["wh"], x),
-                                      ad.matmul(params.weights["uh"], ad.mul(r, h_prev))),
-                               params.weights["bh"]))
-    return ad.add(ad.mul(ad.affine(z, -1.0, 1.0), h_prev), ad.mul(z, candidate))
+def run_sequence(inputs: ad.Tensor, lengths, params: RecurrentParams) -> ad.Tensor:
+    """Hidden states ``(B, T, H)`` of the packed sequences; zero past each length."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 \
+            or lengths.sum() != inputs.shape[0]:
+        raise ValueError(f"sequence lengths {lengths.tolist()} do not split "
+                         f"{inputs.shape[0]} input rows")
+    if inputs.data.ndim != 2 or inputs.shape[1] != params.input_dim:
+        raise ValueError(f"run_sequence: input shape mismatch {inputs.shape} vs "
+                         f"(V, {params.input_dim})")
+    mask = step_mask(lengths)
+    n_seq, n_steps = mask.shape
+    # row of step t of sequence b, time-major; padding reads row 0 and is zeroed below
+    rows = np.where(mask.T, np.cumsum(lengths) - lengths + np.arange(n_steps)[:, None], 0)
+    w = params.weights
+    gates = _GRU_GATES if params.kind == "gru" else _LSTM_GATES
+    projected = {g: ad.take_row(ad.linear(inputs, w[f"w{g}"], w[f"b{g}"]), rows) for g in gates}
 
-
-def lstm_cell(h_prev: ad.Tensor, c_prev: ad.Tensor, x: ad.Tensor, params: RecurrentParams):
-    """One LSTM step: c = f * c_prev + i * g, h = o * tanh(c)."""
-    i = ad.sigmoid(params._gate("i", x, h_prev))
-    f = ad.sigmoid(params._gate("f", x, h_prev))
-    o = ad.sigmoid(params._gate("o", x, h_prev))
-    g = ad.tanh(params._gate("g", x, h_prev))
-    c = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
-    h = ad.mul(o, ad.tanh(c))
-    return h, c
-
-
-@dataclass
-class SequenceBatch:
-    """Variable-length sequences of input vectors; extra steps are padding."""
-
-    sequences: list
-    lengths: list = None
-
-    def __post_init__(self):
-        if self.lengths is None:
-            self.lengths = [len(s) for s in self.sequences]
-        for seq, length in zip(self.sequences, self.lengths):
-            if length < 1 or length > len(seq):
-                raise ValueError(f"sequence length {length} out of range 1..{len(seq)}")
-
-    @property
-    def t_max(self) -> int:
-        return max(self.lengths)
-
-    def mask(self) -> np.ndarray:
-        m = np.zeros((len(self.sequences), self.t_max), dtype=bool)
-        for i, length in enumerate(self.lengths):
-            m[i, :length] = True
-        return m
-
-
-@dataclass
-class HiddenStates:
-    """Per-sequence hidden states; padded positions read as zeros."""
-
-    sequences: list
-    hidden_dim: int
-    t_max: int = field(default=0)
-
-    def __post_init__(self):
-        self.t_max = max(self.t_max, max(len(s) for s in self.sequences))
-
-    def padded_values(self) -> np.ndarray:
-        out = np.zeros((len(self.sequences), self.t_max, self.hidden_dim))
-        for i, seq in enumerate(self.sequences):
-            for t, h in enumerate(seq):
-                out[i, t] = h.data
-        return out
-
-
-def run_sequence(batch: SequenceBatch, params: RecurrentParams) -> HiddenStates:
-    """Hidden states for every valid step of every sequence in the batch."""
-    zero = ad.tensor(np.zeros(params.hidden_dim))
-    all_states = []
-    for seq, length in zip(batch.sequences, batch.lengths):
-        h = zero
-        c = zero
-        states = []
-        for t in range(length):
-            if params.kind == "gru":
-                h = gru_cell(h, seq[t], params)
-            else:
-                h, c = lstm_cell(h, c, seq[t], params)
-            states.append(h)
-        all_states.append(states)
-    return HiddenStates(sequences=all_states, hidden_dim=params.hidden_dim,
-                        t_max=batch.t_max)
+    h = c = ad.tensor(np.zeros((n_seq, params.hidden_dim)))
+    states = []
+    for t in range(n_steps):
+        x = {g: ad.take_row(p, t) for g, p in projected.items()}
+        if params.kind == "gru":
+            z = ad.sigmoid(ad.add(x["z"], ad.linear(h, w["uz"])))
+            r = ad.sigmoid(ad.add(x["r"], ad.linear(h, w["ur"])))
+            candidate = ad.tanh(ad.add(x["h"], ad.linear(ad.mul(r, h), w["uh"])))
+            h = ad.add(ad.mul(ad.affine(z, -1.0, 1.0), h), ad.mul(z, candidate))
+        else:
+            i = ad.sigmoid(ad.add(x["i"], ad.linear(h, w["ui"])))
+            f = ad.sigmoid(ad.add(x["f"], ad.linear(h, w["uf"])))
+            o = ad.sigmoid(ad.add(x["o"], ad.linear(h, w["uo"])))
+            g = ad.tanh(ad.add(x["g"], ad.linear(h, w["ug"])))
+            c = ad.add(ad.mul(f, c), ad.mul(i, g))
+            h = ad.mul(o, ad.tanh(c))
+        if not mask[:, t].all():
+            h = ad.mul(h, ad.tensor(mask[:, t, None]))
+        states.append(h)
+    return ad.stack(states, axis=1)

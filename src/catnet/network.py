@@ -1,10 +1,21 @@
-"""The composed prediction network and its per-instance forward pass.
+"""The composed prediction network and its batched forward pass.
 
 One instance is a patient's input visits plus a target vector.  Each visit is
 embedded into tokens (present codes plus the interval token), mixed by
 cross-event attention into a fixed-layout visit vector, encoded by the
 recurrent backbone, aggregated through visit-level attention and the global
 time gate, and mapped to per-target probabilities.
+
+:meth:`CatnetModel.forward_batch` runs each of these layers once per batch of
+B patients with V visits in all.  The V visits are packed patient after
+patient: one ``(V,)`` interval-kernel call, one ``(V, K, E)`` token gather,
+one masked ``(V, K, K)`` cross-event softmax, one input projection per gate,
+then ``T = max visits`` recurrent steps on ``(B, H)``, one masked
+``(B, T, T)`` visit attention and one gate call over the ``(B, T)`` grid.
+Padding (tokens past a visit's codes, steps past a patient's visits) is
+masked out or zeroed at every layer, and every sum that padding extends adds
+in a fixed order, so a patient's probabilities are bitwise the same alone as
+in any batch.
 
 Ablation variants substitute documented replacements for single components:
 without cross-event attention the visit vector holds raw embeddings in the
@@ -16,15 +27,15 @@ event types are removed from every visit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from catnet import autodiff as ad
 from catnet.aggregate import HeadParams, fuse_and_predict, global_time_gate, visit_self_attention
 from catnet.attention import CodeEmbeddings, attend, build_token_set, output_width, raw_slot_layout
-from catnet.backbone import RecurrentParams, SequenceBatch, run_sequence
-from catnet.cohort import EVENT_TYPES, TaskSpec, Visit, VocabSpec, extract_task_instances
+from catnet.backbone import RecurrentParams, run_sequence, step_mask
+from catnet.cohort import EVENT_TYPES, TaskSpec, VocabSpec, derive_intervals, extract_task_instances
 from catnet.time_kernel import TimeKernelParams, time_embed
 
 COMPONENT_DROPS = ("cross", "visit", "global")
@@ -88,9 +99,6 @@ class ModelConfig:
         d["drops"] = tuple(d.get("drops", ()))
         return cls(**d)
 
-    def with_drops(self, names) -> "ModelConfig":
-        return replace(self, drops=tuple(names))
-
 
 @dataclass
 class TaskInstance:
@@ -109,12 +117,13 @@ def build_instances(records, task: TaskSpec, vocab: VocabSpec):
     instances = []
     for rec in records:
         visits, target = extract_task_instances(rec, task, vocab)
-        times = np.array([v.time_days for v in visits], dtype=np.float64)
+        gaps = derive_intervals(rec)
+        n = len(visits)
         instances.append(TaskInstance(
             patient_id=rec.patient_id,
             visits=list(visits),
-            delta_prev=np.diff(times, prepend=times[0]),
-            delta_global=times - times[0],
+            delta_prev=gaps.delta_prev_days[:n],
+            delta_global=gaps.delta_global_days[:n],
             demo=rec.demographics_vector(),
             target=np.asarray(target, dtype=np.float64),
         ))
@@ -122,7 +131,7 @@ def build_instances(records, task: TaskSpec, vocab: VocabSpec):
 
 
 class CatnetModel:
-    """All learnable parameters plus the forward pass over one instance."""
+    """All learnable parameters plus the batched forward pass."""
 
     def __init__(self, config: ModelConfig, vocab: VocabSpec, rng: np.random.Generator = None):
         self.config = config
@@ -153,67 +162,76 @@ class CatnetModel:
             named["const_interval"] = self.constant_interval
         return dict(sorted(named.items()))
 
-    def _visible_visit(self, visit: Visit) -> Visit:
-        dropped = self.config.dropped_types()
-        if not dropped:
-            return visit
-        return Visit(time_days=visit.time_days,
-                     codes={t: ([] if t in dropped else visit.codes_for(t))
-                            for t in EVENT_TYPES})
+    def forward_batch(self, instances, train: bool = False, dropout: float = 0.0,
+                      rng: np.random.Generator = None, collect_attention: bool = False):
+        """Probabilities ``(B, n_targets)`` for a batch of instances.
 
-    def _interval_token(self, delta_days: float) -> ad.Tensor:
-        if self.constant_interval is not None:
-            return self.constant_interval
-        return time_embed(delta_days / self.config.time_scale, self.interval_kernel)
+        In training with ``dropout > 0``, one ``(V, input_width)`` inverted
+        dropout mask is drawn from ``rng`` over all visit vectors.  With
+        ``collect_attention`` it returns ``(probs, records)``: one attention
+        record per visit, patient after patient (none when attention is ablated).
+        """
+        cfg = self.config
+        drop_visits = train and dropout > 0.0
+        if drop_visits and rng is None:
+            raise ValueError("dropout in training needs an explicit rng (a numpy Generator); "
+                             "got rng=None")
+        lengths = np.array([len(inst.visits) for inst in instances])
+        mask = step_mask(lengths)
+        visits = [visit for inst in instances for visit in inst.visits]
+        if self.constant_interval is None:
+            delta_prev = np.concatenate([inst.delta_prev for inst in instances])
+            intervals = time_embed(delta_prev / cfg.time_scale, self.interval_kernel)
+        else:
+            intervals = ad.add(ad.tensor(np.zeros((len(visits), cfg.embed_dim))),
+                               self.constant_interval)
+        visible = tuple(t for t in EVENT_TYPES if t not in cfg.dropped_types())
+        tokens = build_token_set(visits, self.embeddings, intervals, visible)
+        records = []
+        if "cross" in cfg.drops:
+            x = raw_slot_layout(tokens, cfg.mode, cfg.task, self.vocab)
+        else:
+            x, attention = attend(tokens, cfg.mode, primary=cfg.task, vocab=self.vocab)
+            if collect_attention:
+                records = attention.records()
+        if drop_visits:
+            keep = 1.0 - dropout
+            x = ad.mul(x, ad.tensor((rng.random(x.shape) < keep) / keep))
+
+        states = run_sequence(x, lengths, self.rnn)
+        if "visit" in cfg.drops:
+            contexts = states
+        else:
+            contexts, _ = visit_self_attention(states, lengths)
+        if "global" in cfg.drops:
+            gated = None
+        else:
+            gaps = np.zeros(mask.shape)
+            gaps[mask] = np.concatenate([inst.delta_global for inst in instances]) / cfg.time_scale
+            gated, _ = global_time_gate(states, gaps, lengths, self.decay_kernel)
+        demo = np.stack([inst.demo for inst in instances])
+        probs = fuse_and_predict(contexts, gated, demo, self.head)
+        return (probs, records) if collect_attention else probs
 
     def forward_instance(self, instance: TaskInstance, train: bool = False,
                          dropout: float = 0.0, rng: np.random.Generator = None,
                          collect_attention: bool = False):
-        """Probabilities for one instance; optionally the attention records."""
-        cfg = self.config
-        visit_vectors = []
-        records = [] if collect_attention else None
-        for visit, delta in zip(instance.visits, instance.delta_prev):
-            tokens = build_token_set(self._visible_visit(visit), self.embeddings,
-                                     self._interval_token(float(delta)))
-            if "cross" in cfg.drops:
-                o_t = raw_slot_layout(tokens, cfg.mode, cfg.task, self.vocab)
-            else:
-                o_t, record = attend(tokens, cfg.mode, primary=cfg.task, vocab=self.vocab)
-                if records is not None:
-                    records.append(record)
-            if train and dropout > 0.0:
-                keep = 1.0 - dropout
-                mask = (rng.random(self.input_width) < keep) / keep
-                o_t = ad.mul(o_t, ad.tensor(mask))
-            visit_vectors.append(o_t)
-
-        states = run_sequence(SequenceBatch([visit_vectors]), self.rnn).sequences[0]
-        if "visit" in cfg.drops:
-            contexts = list(states)
-        else:
-            contexts, _ = visit_self_attention(states)
-        if "global" in cfg.drops:
-            gated = None
-        else:
-            gated, _ = global_time_gate(
-                states, instance.delta_global / cfg.time_scale, self.decay_kernel)
-        probs = fuse_and_predict(contexts, gated, instance.demo, self.head)
-        return (probs, records) if collect_attention else probs
+        """Probabilities ``(n_targets,)`` for one instance: a batch of one."""
+        out = self.forward_batch([instance], train=train, dropout=dropout, rng=rng,
+                                 collect_attention=collect_attention)
+        if collect_attention:
+            return ad.take_row(out[0], 0), out[1]
+        return ad.take_row(out, 0)
 
     def batch_loss(self, instances, train: bool = False, dropout: float = 0.0,
                    rng: np.random.Generator = None) -> ad.Tensor:
         """Mean per-instance binary cross-entropy over a batch."""
-        total = None
-        for inst in instances:
-            probs = self.forward_instance(inst, train=train, dropout=dropout, rng=rng)
-            loss = ad.binary_cross_entropy(probs, inst.target)
-            total = loss if total is None else ad.add(total, loss)
-        return ad.scale(total, 1.0 / len(instances))
+        probs = self.forward_batch(instances, train=train, dropout=dropout, rng=rng)
+        return ad.binary_cross_entropy(probs, np.stack([inst.target for inst in instances]))
 
     def predict(self, instances) -> np.ndarray:
         """Evaluation-mode probabilities, one row per instance."""
-        return np.stack([self.forward_instance(inst).data for inst in instances])
+        return self.forward_batch(instances).data
 
     def state_arrays(self) -> dict:
         return {name: t.data.copy() for name, t in self.parameters().items()}

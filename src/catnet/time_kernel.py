@@ -1,14 +1,17 @@
-"""Learned kernel embedding of a temporal gap.
+"""Learned kernel embedding of temporal gaps.
 
 The same kernel shape serves two places: embedding the interval since the
-previous visit (producing the interval token) and embedding the elapsed time
+previous visit (producing the interval tokens) and embedding the elapsed time
 since the first visit (driving the global gate).  The kernel is
 
     out = w2 @ (1 - tanh((w1 * delta + b1)^2)) + b2
 
 whose inner component lies in (0, 1], saturating towards 0 as the gap grows.
-Callers are expected to scale raw day values before embedding; the kernel
-itself applies none.
+It maps an array of gaps of any shape at once: a scalar gap gives one
+``(out,)`` vector, ``V`` gaps a ``(V, out)`` array, a padded ``(B, T)`` grid a
+``(B, T, out)`` array.  Every gap is embedded on its own, so padding gaps
+(zeros) change nothing for the others.  Callers are expected to scale raw day
+values before embedding; the kernel itself applies none.
 """
 
 from __future__ import annotations
@@ -37,10 +40,6 @@ class TimeKernelParams:
                 f"inconsistent kernel shapes: w1 {self.w1.shape}, b1 {self.b1.shape}, "
                 f"w2 {self.w2.shape}, b2 {self.b2.shape}")
 
-    @property
-    def out_dim(self) -> int:
-        return self.w2.shape[0]
-
     @classmethod
     def init(cls, hidden: int, out: int, rng: np.random.Generator) -> "TimeKernelParams":
         bound = np.sqrt(6.0 / (hidden + out))
@@ -56,11 +55,12 @@ class TimeKernelParams:
                 f"{prefix}_w2": self.w2, f"{prefix}_b2": self.b2}
 
 
-def time_embed(delta: float, params: TimeKernelParams) -> ad.Tensor:
-    """Embed a non-negative gap (already scaled) into the kernel's output space."""
-    delta = float(delta)
-    if not np.isfinite(delta) or delta < 0:
-        raise ValueError(f"temporal gap must be finite and non-negative, got {delta}")
-    u = ad.add(ad.scale(params.w1, delta), params.b1)
+def time_embed(delta, params: TimeKernelParams) -> ad.Tensor:
+    """Embed non-negative gaps (already scaled), of any shape, into the kernel's output space."""
+    delta = np.asarray(delta, dtype=np.float64)
+    bad = ~np.isfinite(delta) | (delta < 0)
+    if bad.any():
+        raise ValueError(f"temporal gap must be finite and non-negative, got {delta[bad][0]}")
+    u = ad.add(ad.mul(params.w1, ad.tensor(delta[..., None])), params.b1)
     kernel = ad.affine(ad.tanh(ad.mul(u, u)), -1.0, 1.0)
-    return ad.add(ad.matmul(params.w2, kernel), params.b2)
+    return ad.linear(kernel, params.w2, params.b2)

@@ -6,7 +6,6 @@ import pytest
 from catnet import autodiff as ad
 from catnet.aggregate import (
     HeadParams,
-    bce_loss,
     encode_demographics,
     fuse_and_predict,
     global_time_gate,
@@ -17,7 +16,13 @@ from conftest import central_difference, max_relative_error
 
 
 def make_states(values):
-    return [ad.tensor(v) for v in values]
+    """One patient's hidden states as a (1, T, H) batch."""
+    return ad.tensor(np.stack(values)[None])
+
+
+def one(values):
+    """States and lengths of a one-patient batch."""
+    return make_states(values), [len(values)]
 
 
 def zero_gate_kernel(hidden_dim):
@@ -29,66 +34,66 @@ def zero_gate_kernel(hidden_dim):
 class TestVisitAttention:
     def test_single_visit(self):
         h = np.array([0.3, -0.7, 1.1])
-        contexts, alpha = visit_self_attention(make_states([h]))
-        np.testing.assert_array_equal(alpha, [[1.0]])
-        np.testing.assert_allclose(contexts[0].data, h, rtol=1e-15)
+        contexts, alpha = visit_self_attention(*one([h]))
+        np.testing.assert_array_equal(alpha[0], [[1.0]])
+        np.testing.assert_allclose(contexts.data[0, 0], h, rtol=1e-15)
 
     def test_identical_states_attend_uniformly(self):
         h = np.array([0.5, 0.2])
-        contexts, alpha = visit_self_attention(make_states([h, h, h]))
-        np.testing.assert_allclose(alpha, 1.0 / 3.0, atol=1e-15)
-        for c in contexts:
-            np.testing.assert_allclose(c.data, h, rtol=1e-12)
+        contexts, alpha = visit_self_attention(*one([h, h, h]))
+        np.testing.assert_allclose(alpha[0], 1.0 / 3.0, atol=1e-15)
+        for c in contexts.data[0]:
+            np.testing.assert_allclose(c, h, rtol=1e-12)
 
     def test_three_visits_match_brute_force(self):
         rng = np.random.default_rng(0)
         hs = [rng.uniform(-1, 1, 4) for _ in range(3)]
-        contexts, alpha = visit_self_attention(make_states(hs))
+        contexts, alpha = visit_self_attention(*one(hs))
 
         H = np.stack(hs)
         for t in range(3):
             logits = H @ hs[t] / math.sqrt(4)
             e = np.exp(logits - logits.max())
             w = e / e.sum()
-            np.testing.assert_allclose(alpha[t], w, rtol=1e-12)
-            np.testing.assert_allclose(contexts[t].data, w @ H, rtol=1e-12)
+            np.testing.assert_allclose(alpha[0][t], w, rtol=1e-12)
+            np.testing.assert_allclose(contexts.data[0, t], w @ H, rtol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             hs = [rng.uniform(-3, 3, 5) for _ in range(rng.integers(1, 7))]
-            _, alpha = visit_self_attention(make_states(hs))
-            assert np.all(np.abs(alpha.sum(axis=1) - 1.0) <= 1e-9)
+            _, alpha = visit_self_attention(*one(hs))
+            assert np.all(np.abs(alpha[0].sum(axis=1) - 1.0) <= 1e-9)
 
     def test_invariant_under_orthogonal_transform(self):
         rng = np.random.default_rng(2)
         hs = [rng.uniform(-1, 1, 4) for _ in range(5)]
         q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-        _, alpha = visit_self_attention(make_states(hs))
-        _, alpha_rot = visit_self_attention(make_states([q @ h for h in hs]))
-        np.testing.assert_allclose(alpha, alpha_rot, atol=1e-9)
+        _, alpha = visit_self_attention(*one(hs))
+        _, alpha_rot = visit_self_attention(*one([q @ h for h in hs]))
+        np.testing.assert_allclose(alpha[0], alpha_rot[0], atol=1e-9)
 
 
 class TestGlobalGate:
     def test_zero_kernel_gates_at_half(self):
-        hs = make_states([np.array([1.0, -2.0]), np.array([0.5, 0.5])])
-        gated, gates = global_time_gate(hs, [0.0, 3.0], zero_gate_kernel(2))
-        np.testing.assert_array_equal(gates, 0.5)
-        np.testing.assert_allclose(gated[0].data, [0.5, -1.0], rtol=1e-15)
+        hs, lengths = one([np.array([1.0, -2.0]), np.array([0.5, 0.5])])
+        gated, gates = global_time_gate(hs, [[0.0, 3.0]], lengths, zero_gate_kernel(2))
+        np.testing.assert_array_equal(gates[0], 0.5)
+        np.testing.assert_allclose(gated.data[0, 0], [0.5, -1.0], rtol=1e-15)
 
     def test_gates_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(3)
         kernel = TimeKernelParams.init(hidden=3, out=4, rng=rng)
-        hs = make_states([rng.uniform(-1, 1, 4) for _ in range(4)])
-        _, gates = global_time_gate(hs, [0.0, 1.0, 5.0, 5.0], kernel)
-        assert np.all(gates > 0.0) and np.all(gates < 1.0)
+        hs, lengths = one([rng.uniform(-1, 1, 4) for _ in range(4)])
+        _, gates = global_time_gate(hs, [[0.0, 1.0, 5.0, 5.0]], lengths, kernel)
+        assert np.all(gates[0] > 0.0) and np.all(gates[0] < 1.0)
 
     def test_decreasing_decay_times_rejected(self):
-        hs = make_states([np.zeros(2), np.zeros(2)])
+        hs, lengths = one([np.zeros(2), np.zeros(2)])
         with pytest.raises(ValueError, match="non-decreasing"):
-            global_time_gate(hs, [0.0, -1.0], zero_gate_kernel(2))
+            global_time_gate(hs, [[0.0, -1.0]], lengths, zero_gate_kernel(2))
         with pytest.raises(ValueError, match="start at 0"):
-            global_time_gate(hs, [1.0, 2.0], zero_gate_kernel(2))
+            global_time_gate(hs, [[1.0, 2.0]], lengths, zero_gate_kernel(2))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(4)
@@ -98,10 +103,8 @@ class TestGlobalGate:
         tensors = [kernel.w1, kernel.b1, kernel.w2, kernel.b2]
 
         def forward():
-            gated, _ = global_time_gate(make_states(hs_data), [0.0, 2.0, 7.0], kernel)
-            total = gated[0]
-            for g in gated[1:]:
-                total = ad.add(total, g)
+            gated, _ = global_time_gate(*one(hs_data)[:1], [[0.0, 2.0, 7.0]], [3], kernel)
+            total = ad.sum_over(ad.take_row(gated, 0), axis=0)
             return ad.sum_over(ad.mul(total, ad.tensor(coeff)))
 
         with ad.Tape():
@@ -119,33 +122,31 @@ class TestFuseAndPredict:
                           out_b=ad.parameter(np.zeros(n_targets)))
 
     def test_all_zero_params_predict_half(self):
-        hs = make_states([np.array([1.0, 2.0, 3.0])])
-        contexts, _ = visit_self_attention(hs)
-        gated, _ = global_time_gate(hs, [0.0], zero_gate_kernel(3))
-        y = fuse_and_predict(contexts, gated, np.array([0.5, 1.0, 0.0]), self.zero_head())
+        hs, lengths = one([np.array([1.0, 2.0, 3.0])])
+        contexts, _ = visit_self_attention(hs, lengths)
+        gated, _ = global_time_gate(hs, [[0.0]], lengths, zero_gate_kernel(3))
+        y = fuse_and_predict(contexts, gated, np.array([[0.5, 1.0, 0.0]]), self.zero_head())
         np.testing.assert_array_equal(y.data, 0.5)
 
     def test_single_visit_zero_gate_fuses_to_one_and_a_half(self):
         h = np.array([0.4, -1.0, 2.0])
-        hs = make_states([h])
-        contexts, _ = visit_self_attention(hs)
-        gated, _ = global_time_gate(hs, [0.0], zero_gate_kernel(3))
-        fused = ad.add(contexts[0], gated[0])
-        np.testing.assert_allclose(fused.data, 1.5 * h, rtol=1e-15)
+        hs, lengths = one([h])
+        contexts, _ = visit_self_attention(hs, lengths)
+        gated, _ = global_time_gate(hs, [[0.0]], lengths, zero_gate_kernel(3))
+        fused = ad.add(contexts, gated)
+        np.testing.assert_allclose(fused.data[0, 0], 1.5 * h, rtol=1e-15)
 
     def test_identical_states_and_times_sum_to_t_times_first(self):
         rng = np.random.default_rng(5)
         h = rng.uniform(-1, 1, 4)
         kernel = TimeKernelParams.init(hidden=2, out=4, rng=rng)
         T = 5
-        hs = make_states([h] * T)
-        contexts, _ = visit_self_attention(hs)
-        gated, _ = global_time_gate(hs, [0.0] * T, kernel)
-        total = ad.add(contexts[0], gated[0])
-        for c, g in zip(contexts[1:], gated[1:]):
-            total = ad.add(total, ad.add(c, g))
-        np.testing.assert_allclose(total.data,
-                                   T * (contexts[0].data + gated[0].data), rtol=1e-12)
+        hs, lengths = one([h] * T)
+        contexts, _ = visit_self_attention(hs, lengths)
+        gated, _ = global_time_gate(hs, [[0.0] * T], lengths, kernel)
+        total = ad.sum_over(ad.add(contexts, gated), axis=1)
+        np.testing.assert_allclose(total.data[0],
+                                   T * (contexts.data[0, 0] + gated.data[0, 0]), rtol=1e-12)
 
     def test_random_instance_matches_straight_line_oracle(self):
         rng = np.random.default_rng(6)
@@ -158,9 +159,9 @@ class TestFuseAndPredict:
         head.demo_b.data[...] = rng.uniform(-0.5, 0.5, demo_dim)
         head.out_b.data[...] = rng.uniform(-0.5, 0.5, n_targets)
 
-        contexts, _ = visit_self_attention(make_states(hs))
-        gated, _ = global_time_gate(make_states(hs), deltas, kernel)
-        y = fuse_and_predict(contexts, gated, demo, head)
+        contexts, _ = visit_self_attention(*one(hs))
+        gated, _ = global_time_gate(make_states(hs), [deltas], [T], kernel)
+        y = fuse_and_predict(contexts, gated, demo[None], head)
 
         # independent straight-line evaluation on plain arrays
         H = np.stack(hs)
@@ -176,14 +177,13 @@ class TestFuseAndPredict:
         es = head.demo_w.data @ demo + head.demo_b.data
         logits = head.out_w.data @ np.concatenate([fused, es]) + head.out_b.data
         expected = 1 / (1 + np.exp(-logits))
-        np.testing.assert_allclose(y.data, expected, rtol=1e-10)
+        np.testing.assert_allclose(y.data[0], expected, rtol=1e-10)
 
     def test_probabilities_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(7)
         head = HeadParams.init(3, 2, 3, 6, rng)
-        hs = make_states([rng.uniform(-5, 5, 3) for _ in range(2)])
-        contexts, _ = visit_self_attention(hs)
-        y = fuse_and_predict(contexts, None, rng.uniform(0, 1, 3), head)
+        contexts, _ = visit_self_attention(*one([rng.uniform(-5, 5, 3) for _ in range(2)]))
+        y = fuse_and_predict(contexts, None, rng.uniform(0, 1, (1, 3)), head)
         assert np.all(y.data > 0.0) and np.all(y.data < 1.0)
 
     def test_demographics_encoding_is_linear(self):
@@ -200,15 +200,15 @@ class TestFuseAndPredict:
 class TestLoss:
     def test_half_probabilities_give_log_two(self):
         y = np.array([1.0, 0.0, 1.0, 0.0])
-        loss = bce_loss(ad.tensor([0.5] * 4), y)
+        loss = ad.binary_cross_entropy(ad.tensor([0.5] * 4), y)
         np.testing.assert_allclose(loss.item(), math.log(2), rtol=1e-15)
 
     def test_exact_prediction_costs_epsilon(self):
-        loss = bce_loss(ad.tensor([1.0, 0.0]), np.array([1.0, 0.0]))
+        loss = ad.binary_cross_entropy(ad.tensor([1.0, 0.0]), np.array([1.0, 0.0]))
         np.testing.assert_allclose(loss.item(), 1e-7, rtol=1e-6)
 
     def test_closed_form_pair(self):
-        loss = bce_loss(ad.tensor([0.9, 0.1]), np.array([1.0, 0.0]))
+        loss = ad.binary_cross_entropy(ad.tensor([0.9, 0.1]), np.array([1.0, 0.0]))
         np.testing.assert_allclose(loss.item(), 0.105361, atol=5e-7)
 
     def test_loss_non_negative(self):
@@ -216,4 +216,4 @@ class TestLoss:
         for _ in range(20):
             p = rng.uniform(0, 1, 6)
             y = (rng.random(6) < 0.5).astype(float)
-            assert bce_loss(ad.tensor(p), y).item() >= 0.0
+            assert ad.binary_cross_entropy(ad.tensor(p), y).item() >= 0.0

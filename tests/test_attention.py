@@ -7,14 +7,34 @@ from catnet import autodiff as ad
 from catnet.attention import (
     AttentionAverager,
     CodeEmbeddings,
-    build_token_set,
-    attend,
+    attend as attend_batch,
+    build_token_set as build_token_batch,
     export_weights,
     output_width,
-    raw_slot_layout,
+    raw_slot_layout as raw_slot_batch,
 )
 from catnet.cohort import Visit, VocabSpec
 from catnet.time_kernel import TimeKernelParams, time_embed
+
+
+def build_token_set(visit, embeddings, interval):
+    """Tokens of a one-visit batch; ``interval`` is the visit's (E,) interval token."""
+    return build_token_batch([visit], embeddings, ad.reshape(interval, (1, -1)))
+
+
+def attend(tokens, mode, primary=None, vocab=None):
+    """The one visit's vector (a 1-D tensor) and its attention record."""
+    vectors, attention = attend_batch(tokens, mode, primary=primary, vocab=vocab)
+    return ad.take_row(vectors, 0), attention.records()[0]
+
+
+def raw_slot_layout(tokens, mode, primary, vocab):
+    return ad.take_row(raw_slot_batch(tokens, mode, primary, vocab), 0)
+
+
+def interval_of(tokens):
+    """The interval token of a one-visit batch: its last present token."""
+    return tokens.values.data[0, tokens.n_tokens - 1]
 
 
 def brute_force(embs, query_ids):
@@ -116,7 +136,7 @@ def test_absent_code_neutrality_is_bitwise():
                                                [[9.0, 9.0, 9.0, 9.0]]]))},
         embed_dim=4)
     visit = Visit(time_days=0.0, codes=codes)
-    tokens2 = build_token_set(visit, extended, ad.tensor(tokens.tokens[-1].data))
+    tokens2 = build_token_set(visit, extended, ad.tensor(interval_of(tokens)))
     grown, grown_rec = attend(tokens2, "task-unaware", vocab=bigger)
 
     np.testing.assert_array_equal(base_rec.weights, grown_rec.weights)
@@ -144,7 +164,7 @@ def test_within_type_permutation_equivariance_exact():
         permuted_emb = CodeEmbeddings(tables=permuted_tables, embed_dim=4)
         permuted_codes = {**codes, "diag": sorted(int(perm[c]) for c in diag_codes)}
         tokens_p = build_token_set(Visit(time_days=0.0, codes=permuted_codes),
-                                   permuted_emb, ad.tensor(tokens.tokens[-1].data))
+                                   permuted_emb, ad.tensor(interval_of(tokens)))
 
         base_o, base_rec = attend(tokens, "task-unaware", vocab=vocab)
         perm_o, perm_rec = attend(tokens_p, "task-unaware", vocab=vocab)
@@ -196,6 +216,26 @@ def test_empty_visit_attends_to_interval_alone():
     np.testing.assert_allclose(slots[2], 2.0 * interval.data, rtol=1e-15)
 
 
+def test_visits_in_a_batch_match_each_alone_bitwise():
+    rng = np.random.default_rng(12)
+    vocab = VocabSpec(med=6, diag=5, lab=4, proc=3)
+    embeddings = CodeEmbeddings.init(vocab, 4, rng)
+    visits = [Visit(time_days=0.0, codes={etype: sorted(rng.choice(
+        vocab.size(etype), size=rng.integers(0, vocab.size(etype)), replace=False).tolist())
+        for etype in ("med", "diag", "lab", "proc")}) for _ in range(6)]
+    intervals = rng.uniform(-0.1, 0.1, (len(visits), 4))
+    for mode in ("task-aware", "task-unaware"):
+        tokens = build_token_batch(visits, embeddings, ad.tensor(intervals))
+        vectors, attention = attend_batch(tokens, mode, primary="med", vocab=vocab)
+        assert tokens.n_tokens == sum(len(r.key_meta) for r in attention.records())
+        for v, (visit, record) in enumerate(zip(visits, attention.records())):
+            alone, alone_rec = attend(build_token_set(visit, embeddings, ad.tensor(intervals[v])),
+                                      mode, primary="med", vocab=vocab)
+            np.testing.assert_array_equal(vectors.data[v], alone.data)
+            np.testing.assert_array_equal(record.weights, alone_rec.weights)
+            assert record.query_meta == alone_rec.query_meta
+
+
 def test_raw_slot_layout_matches_attend_layout():
     vocab = VocabSpec(med=3, diag=2, lab=0, proc=0)
     codes = {"med": [1], "diag": [0], "lab": [], "proc": []}
@@ -206,7 +246,7 @@ def test_raw_slot_layout_matches_attend_layout():
     slots = raw.data.reshape(-1, 4)
     np.testing.assert_array_equal(slots[1], embeddings.tables["med"].data[1])
     np.testing.assert_array_equal(slots[0], 0.0)
-    np.testing.assert_array_equal(slots[3], tokens.tokens[-1].data)
+    np.testing.assert_array_equal(slots[3], interval_of(tokens))
 
 
 class TestExport:

@@ -99,6 +99,35 @@ def test_non_finite_result_rejected():
         ad.scale(big, 1e10)
 
 
+def test_non_finite_error_names_op_and_input_shapes():
+    big = ad.tensor(np.full((2, 3), 1e308))
+    with np.errstate(over="ignore"), \
+            pytest.raises(FloatingPointError, match=r"^mul .*\(2, 3\), \(3,\)"):
+        ad.mul(big, ad.tensor([10.0, 1.0, 1.0]))
+
+
+def test_padding_leaves_values_bitwise_unchanged():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        k, pad, n = rng.integers(1, 14), rng.integers(1, 12), rng.integers(1, 6)
+        logits = rng.uniform(-30, 30, (3, k))
+        rows = rng.uniform(-1, 1, (3, k, n)) * 10.0 ** rng.uniform(-6, 6, (3, k, 1))
+        padded_logits = np.concatenate([logits, rng.uniform(-30, 30, (3, pad))], axis=1)
+        padded_rows = np.concatenate([rows, rng.uniform(-1, 1, (3, pad, n))], axis=1)
+        mask = np.arange(k + pad) < k
+
+        w = ad.stable_softmax(ad.tensor(logits))
+        wp = ad.stable_softmax(ad.tensor(padded_logits), mask)
+        np.testing.assert_array_equal(wp.data[:, :k], w.data)
+        for sort in (True, False):
+            np.testing.assert_array_equal(
+                ad.weighted_row_sum(ad.reshape(wp, (3, 1, -1)), ad.tensor(padded_rows), sort).data,
+                ad.weighted_row_sum(ad.reshape(w, (3, 1, -1)), ad.tensor(rows), sort).data)
+        zero_padded = np.concatenate([rows, np.zeros((3, pad, n))], axis=1)
+        np.testing.assert_array_equal(ad.sum_over(ad.tensor(zero_padded), axis=1).data,
+                                      ad.sum_over(ad.tensor(rows), axis=1).data)
+
+
 def test_determinism_bitwise():
     def run():
         x = ad.parameter(np.linspace(-1, 1, 8))
@@ -176,6 +205,25 @@ def test_each_op_matches_finite_differences(seed):
                                               ad.tensor([0.3, -0.2, 0.9, 0.1]))),
         "take_row": lambda: ad.sum_over(ad.mul(ad.take_row(m, 2), ad.tensor(cv))),
         "sum_axis": lambda: ad.sum_over(ad.mul(ad.sum_over(a, axis=1), ad.tensor(cv))),
+        "broadcast": lambda: ad.sum_over(ad.mul(ad.sub(ad.mul(a, v), ad.add(b, v)),
+                                                ad.tensor(coeff))),
+        "einsum": lambda: ad.sum_over(ad.mul(ad.einsum("ij,kj->ik", a, b),
+                                             ad.tensor(coeff[:, :3]))),
+        "linear": lambda: ad.sum_over(ad.mul(ad.linear(a, b), ad.tensor(coeff[:, :3]))),
+        "concat_rows": lambda: ad.sum_over(ad.mul(ad.concat([a, b], axis=0),
+                                                  ad.tensor(np.vstack([coeff, -coeff])))),
+        "stack_reshape": lambda: ad.sum_over(ad.mul(ad.reshape(ad.stack([a, b], axis=1), (3, 8)),
+                                                    ad.tensor(np.hstack([coeff, coeff[::-1]])))),
+        "take_rows": lambda: ad.sum_over(ad.mul(ad.take_row(m, [[2, 0], [2, 1]]),
+                                                ad.tensor(np.ones((2, 2, 3)) * cv))),
+        "softmax_rows": lambda: ad.sum_over(ad.mul(ad.stable_softmax(a, [True, False, True, True]),
+                                                   ad.tensor(coeff))),
+        "row_sum_sorted": lambda: ad.sum_over(ad.mul(ad.weighted_row_sum(
+            ad.reshape(a, (3, 1, 4)), ad.stack([m, m, m]), sort=True),
+            ad.tensor(coeff[:, None, :3]))),
+        "row_sum_ordered": lambda: ad.sum_over(ad.mul(ad.weighted_row_sum(
+            ad.reshape(b, (3, 1, 4)), ad.stack([m, m, m]), sort=False),
+            ad.tensor(coeff[:, None, :3]))),
     }
     for name, f in cases.items():
         for p in (a, b, m, v):

@@ -12,6 +12,7 @@ def tiny_vocab():
 
 
 def tiny_records():
+    """Four patients with 2, 2, 3 and 1 input visits and 1 to 6 codes per visit."""
     v = [
         Visit(0.0, {"med": [0, 2], "diag": [1], "lab": [0], "proc": []}),
         Visit(12.0, {"med": [1], "diag": [0], "lab": [], "proc": [0]}),
@@ -22,9 +23,21 @@ def tiny_records():
         Visit(7.5, {"med": [2], "diag": [], "lab": [0], "proc": [0]}),
         Visit(90.0, {"med": [0, 1, 2], "diag": [1], "lab": [], "proc": []}),
     ]
+    x = [
+        Visit(1.0, {"med": [1, 2], "diag": [0, 1], "lab": [0], "proc": []}),
+        Visit(5.0, {"med": [], "diag": [1], "lab": [], "proc": [0]}),
+        Visit(6.5, {"med": [0, 1, 2], "diag": [0], "lab": [0], "proc": [0]}),
+        Visit(30.0, {"med": [2], "diag": [], "lab": [], "proc": []}),
+    ]
+    y = [
+        Visit(10.0, {"med": [1], "diag": [], "lab": [], "proc": []}),
+        Visit(11.0, {"med": [0], "diag": [1], "lab": [], "proc": []}),
+    ]
     return [
         PatientRecord("a", 64.0, "F", v, mortality=True),
         PatientRecord("b", 41.0, "M", w, mortality=False),
+        PatientRecord("c", 77.0, "M", x, mortality=True),
+        PatientRecord("d", 25.0, "F", y, mortality=False),
     ]
 
 
@@ -113,6 +126,83 @@ def test_dropout_only_affects_training_mode():
     np.testing.assert_array_equal(model.predict(instances), eval_a)
 
 
+def test_dropout_in_training_requires_an_rng():
+    model, instances = build(tiny_config(), seed=4)
+    with pytest.raises(ValueError, match="rng"):
+        model.forward_instance(instances[0], train=True, dropout=0.5)
+    with ad.Tape():
+        a = model.batch_loss(instances, train=True, dropout=0.5, rng=np.random.default_rng(3))
+        b = model.batch_loss(instances, train=True, dropout=0.5, rng=np.random.default_rng(3))
+    assert a.item() == b.item()
+
+
+def test_forward_instance_collects_one_record_per_visit():
+    model, instances = build(tiny_config(), seed=5)
+    probs, records = model.forward_instance(instances[2], collect_attention=True)
+    assert probs.shape == (model.n_targets,)
+    assert len(records) == len(instances[2].visits)
+    for record in records:
+        assert [m[0] for m in record.query_meta] == ["med"] * (len(record.query_meta) - 1) + ["time"]
+        assert np.all(np.abs(record.weights.sum(axis=1) - 1.0) <= 1e-12)
+
+
+class TestBatchContracts:
+    """Exactness of the batched forward on patients of unequal visit and code counts."""
+
+    configs = [tiny_config(), tiny_config(mode="task-unaware", backbone="lstm"),
+               tiny_config(drops=("cross", "time", "visit"))]
+
+    @pytest.mark.parametrize("cfg", configs, ids=["aware-gru", "unaware-lstm", "drops"])
+    def test_predict_rows_equal_forward_instance_bitwise(self, cfg):
+        model, instances = build(cfg, seed=12)
+        assert len({len(inst.visits) for inst in instances}) >= 3
+        for row, inst in zip(model.predict(instances), instances):
+            np.testing.assert_array_equal(row, model.forward_instance(inst).data)
+
+    def test_patient_unchanged_when_longer_patients_join(self):
+        model, instances = build(tiny_config(), seed=13)
+        short = instances[3]
+        alone = model.predict([short])[0]
+        for batch in (instances, instances[::-1], [short, instances[2], short]):
+            rows = model.predict(batch)
+            for i, inst in enumerate(batch):
+                if inst is short:
+                    np.testing.assert_array_equal(rows[i], alone)
+
+    def test_within_type_permutation_equivariance_through_model(self):
+        # diag tokens are keys only in task-aware med, so relabelling diag codes
+        # moves no slot of the visit vector and must change no output bit
+        cfg = tiny_config()
+        model, instances = build(cfg, seed=14)
+        perm = np.array([1, 0])
+        permuted = CatnetModel(cfg, tiny_vocab(), np.random.default_rng(0))
+        state = model.state_arrays()
+        state["emb_diag"] = state["emb_diag"][np.argsort(perm)]
+        permuted.load_state_arrays(state)
+        relabelled = [
+            PatientRecord(r.patient_id, r.age_years, r.sex,
+                          [Visit(v.time_days, {**v.codes, "diag": sorted(int(perm[c])
+                                                                        for c in v.codes["diag"])})
+                           for v in r.visits], r.mortality)
+            for r in tiny_records()]
+        np.testing.assert_array_equal(
+            model.predict(instances),
+            permuted.predict(build_instances(relabelled, cfg.task_spec, tiny_vocab())))
+
+    def test_absent_code_neutrality_through_model(self):
+        cfg = tiny_config()
+        model, instances = build(cfg, seed=15)
+        bigger = VocabSpec(med=3, diag=4, lab=2, proc=1)
+        grown = CatnetModel(cfg, bigger, np.random.default_rng(0))
+        state = model.state_arrays()
+        state["emb_diag"] = np.vstack([state["emb_diag"], np.full((2, 3), 9.0)])
+        state["emb_lab"] = np.vstack([state["emb_lab"], np.full((1, 3), -9.0)])
+        grown.load_state_arrays(state)
+        np.testing.assert_array_equal(
+            model.predict(instances),
+            grown.predict(build_instances(tiny_records(), cfg.task_spec, bigger)))
+
+
 class TestAblationVariants:
     def test_unknown_drop_rejected(self):
         with pytest.raises(ValueError, match="unknown ablation drop"):
@@ -179,7 +269,8 @@ class TestAblationVariants:
         assert not np.allclose(base.predict(instances), variant.predict(instances))
 
     @pytest.mark.parametrize("drops", [("cross",), ("visit",), ("global",), ("time",),
-                                       ("cross", "time")])
+                                       ("cross", "time"), ("diag",), ("lab",), ("proc",),
+                                       ("aux",)])
     def test_variant_gradients_match_finite_differences(self, drops):
         model, instances = build(tiny_config(drops=drops), seed=10)
         params = model.parameters()

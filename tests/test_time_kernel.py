@@ -81,3 +81,15 @@ def test_gradients_match_finite_differences():
     analytic = [t.grad.copy() for t in tensors]
     numeric = central_difference(loss_value, [t.data for t in tensors])
     assert max_relative_error(analytic, numeric) <= 1e-4
+
+
+def test_array_of_gaps_matches_one_gap_at_a_time_bitwise():
+    rng = np.random.default_rng(19)
+    params = TimeKernelParams.init(hidden=5, out=4, rng=rng)
+    gaps = rng.uniform(0, 20, (3, 7))
+    batched = time_embed(gaps, params).data
+    assert batched.shape == (3, 7, 4)
+    for index in np.ndindex(gaps.shape):
+        np.testing.assert_array_equal(batched[index], time_embed(gaps[index], params).data)
+    with pytest.raises(ValueError, match="non-negative"):
+        time_embed(np.array([1.0, -2.0]), params)
