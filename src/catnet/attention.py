@@ -173,7 +173,7 @@ def _place_in_slots(values: ad.Tensor, slots: np.ndarray, n_slots: int) -> ad.Te
     return ad.reshape(ad.take_row(flat, source), (n_visits, n_slots * embed_dim))
 
 
-def attend(tokens: TokenBatch, mode: str, primary: str = None, vocab: VocabSpec = None):
+def attend(tokens: TokenBatch, mode: str, primary: str = None, *, vocab: VocabSpec):
     """Visit vectors and attention weights for a batch of visits.
 
     Returns ``(vectors, attention)``: ``vectors`` is ``(V, output_width(...))``,
@@ -184,8 +184,6 @@ def attend(tokens: TokenBatch, mode: str, primary: str = None, vocab: VocabSpec 
         raise ValueError(f"unknown attention mode {mode!r}")
     if mode == "task-aware" and primary not in EVENT_TYPES:
         raise ValueError("task-aware attention requires a primary event type")
-    if vocab is None:
-        raise ValueError("attend requires the vocabulary for the slot layout")
 
     x = tokens.values
     logits = ad.scale(ad.einsum("vqe,vke->vqk", x, x), 1.0 / math.sqrt(x.shape[-1]))

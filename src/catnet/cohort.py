@@ -258,8 +258,8 @@ def load_dataset(data_path: str, vocab_path: str = None):
                 continue
             try:
                 rec = PatientRecord.from_dict(json.loads(line))
+                rec.validate(vocab)
             except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
                 raise ValueError(f"{data_path}:{lineno}: malformed record: {exc}") from exc
-            rec.validate(vocab)
             records.append(rec)
     return records, vocab

@@ -6,11 +6,6 @@ at the previous visit, ``ln(boost) * 2**(-gap/halflife)``.  The exponential
 decay makes both the cross-event dependency and the visit gap load-bearing for
 any model trying to predict the effect codes.
 
-Each patient also carries a latent visit tempo: the patient's log-gap mean is
-drawn once around the cohort-level mean.  Observed gaps therefore inform the
-(unseen) gap to the next visit, which is what makes interval information
-genuinely predictive rather than decorative.
-
 Generation is a pure function of (config, seed): patient ``i`` draws from its
 own Philox counter-based stream keyed by (seed, i), so patients can be
 generated independently and in parallel without changing the output.
@@ -18,7 +13,6 @@ generated independently and in parallel without changing the output.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -54,17 +48,6 @@ class PlantedRule:
     def log_odds_at(self, gap_days: float) -> float:
         return math.log(self.boost) * 2.0 ** (-gap_days / self.halflife_days)
 
-    def to_dict(self) -> dict:
-        return {"trigger": [self.trigger_type, self.trigger_code],
-                "effect": [self.effect_type, self.effect_code],
-                "boost": self.boost, "halflife_days": self.halflife_days}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PlantedRule":
-        return cls(trigger_type=d["trigger"][0], trigger_code=int(d["trigger"][1]),
-                   effect_type=d["effect"][0], effect_code=int(d["effect"][1]),
-                   boost=float(d["boost"]), halflife_days=float(d["halflife_days"]))
-
 
 @dataclass
 class GenConfig:
@@ -80,7 +63,6 @@ class GenConfig:
     continue_prob: float = 0.55
     gap_log_mu: float = 2.7
     gap_log_sigma: float = 0.3
-    tempo_log_sigma: float = 1.0
     base_prevalence: dict = field(default_factory=dict)
     rules: list = field(default_factory=list)
     severe_codes: list = field(default_factory=list)
@@ -96,10 +78,6 @@ class GenConfig:
             raise ValueError("continue_prob must lie in [0, 1]")
         if self.gap_log_sigma <= 0.0:
             raise ValueError("gap_log_sigma must be positive")
-        if self.tempo_log_sigma < 0.0:
-            raise ValueError("tempo_log_sigma must be non-negative")
-        self.rules = [r if isinstance(r, PlantedRule) else PlantedRule.from_dict(r)
-                      for r in self.rules]
         vocab = self.vocab()
         for rule in self.rules:
             for etype, code in ((rule.trigger_type, rule.trigger_code),
@@ -123,49 +101,6 @@ class GenConfig:
         if arr.size != size:
             raise ValueError(f"{etype}: {arr.size} prevalences for {size} codes")
         return arr
-
-    def to_dict(self) -> dict:
-        return {
-            "n_patients": self.n_patients,
-            "vocab": {t: getattr(self, t) for t in EVENT_TYPES},
-            "visits": {"min": self.min_visits, "max": self.max_visits,
-                       "continue_prob": self.continue_prob},
-            "gap_days": {"log_mu": self.gap_log_mu, "log_sigma": self.gap_log_sigma,
-                         "tempo_log_sigma": self.tempo_log_sigma},
-            "base_prevalence": {t: list(self.prevalence(t)) for t in EVENT_TYPES},
-            "rules": [r.to_dict() for r in self.rules],
-            "mortality": {"severe_codes": [list(sc) for sc in self.severe_codes],
-                          "intercept": self.mortality_intercept,
-                          "weight": self.mortality_weight},
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GenConfig":
-        mort = d.get("mortality", {})
-        return cls(
-            n_patients=int(d["n_patients"]),
-            med=int(d["vocab"]["med"]), diag=int(d["vocab"]["diag"]),
-            lab=int(d["vocab"]["lab"]), proc=int(d["vocab"]["proc"]),
-            min_visits=int(d["visits"]["min"]), max_visits=int(d["visits"]["max"]),
-            continue_prob=float(d["visits"]["continue_prob"]),
-            gap_log_mu=float(d["gap_days"]["log_mu"]),
-            gap_log_sigma=float(d["gap_days"]["log_sigma"]),
-            base_prevalence=d.get("base_prevalence", {}),
-            rules=d.get("rules", []),
-            severe_codes=[tuple(sc) for sc in mort.get("severe_codes", [])],
-            mortality_intercept=float(mort.get("intercept", -2.6)),
-            mortality_weight=float(mort.get("weight", 0.55)),
-        )
-
-    @classmethod
-    def load(cls, path: str) -> "GenConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
-    def save(self, path: str):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
     @classmethod
     def default(cls) -> "GenConfig":
@@ -256,31 +191,3 @@ def generate(config: GenConfig, seed: int):
         rec.validate(vocab)
     return records, vocab
 
-
-def describe(config: GenConfig) -> str:
-    """Human-readable summary of vocabulary, rules, and expected rates."""
-    lines = []
-    lines.append("event types: " + ", ".join(
-        f"{t}={getattr(config, t)}" for t in EVENT_TYPES))
-    lines.append(f"patients: {config.n_patients}, visits {config.min_visits}.."
-                 f"{config.max_visits} (continue p={config.continue_prob})")
-    lines.append(f"gaps: lognormal(mu={config.gap_log_mu}, sigma={config.gap_log_sigma}) days")
-    for etype in EVENT_TYPES:
-        prev = config.prevalence(etype)
-        if prev.size:
-            lines.append(f"  {etype} base prevalence: min {prev.min():.3f} "
-                         f"mean {prev.mean():.3f} max {prev.max():.3f}")
-    lines.append(f"{len(config.rules)} planted rules")
-    for rule in config.rules:
-        base = float(config.prevalence(rule.effect_type)[rule.effect_code])
-        p0 = conditional_effect_probability(rule, base, 0.0)
-        ph = conditional_effect_probability(rule, base, rule.halflife_days)
-        lines.append(
-            f"  {rule.trigger_type}:{rule.trigger_code} -> "
-            f"{rule.effect_type}:{rule.effect_code} boost x{rule.boost:g}, "
-            f"halflife {rule.halflife_days:g}d "
-            f"(P(effect)={base:.3f} base, {p0:.3f} at gap 0, {ph:.3f} at halflife)")
-    lines.append(f"mortality: sigmoid({config.mortality_intercept:+g} "
-                 f"{config.mortality_weight:+g} * severe count), "
-                 f"{len(config.severe_codes)} severe codes")
-    return "\n".join(lines)

@@ -59,13 +59,9 @@ def average_precision(scores, labels) -> float:
     n_pos = int(y.sum())
     if n_pos == 0:
         raise ValueError("average precision undefined: no positives")
-    order = np.lexsort((np.arange(s.shape[0]), -s))
-    hits = 0
-    total = 0.0
-    for rank, idx in enumerate(order, start=1):
-        if y[idx] == 1.0:
-            hits += 1
-            total += hits / rank
+    ys = y[np.lexsort((np.arange(s.shape[0]), -s))]
+    precision = np.cumsum(ys) / np.arange(1, ys.shape[0] + 1)
+    total = np.cumsum(precision[ys == 1.0])[-1]  # sequential, in rank order
     return float(total / n_pos)
 
 

@@ -59,7 +59,7 @@ def resolve_drops(names, task: str):
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture-defining settings; everything a model file must restore."""
+    """Architecture-defining settings."""
 
     task: str = "med"
     mode: str = "task-aware"
@@ -86,18 +86,6 @@ class ModelConfig:
         if "aux" in self.drops:
             dropped.update(t for t in EVENT_TYPES if t != self.task)
         return dropped
-
-    def to_dict(self) -> dict:
-        return {"task": self.task, "mode": self.mode, "backbone": self.backbone,
-                "embed_dim": self.embed_dim, "kernel_dim": self.kernel_dim,
-                "hidden_dim": self.hidden_dim, "demo_dim": self.demo_dim,
-                "time_scale": self.time_scale, "drops": list(self.drops)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["drops"] = tuple(d.get("drops", ()))
-        return cls(**d)
 
 
 @dataclass

@@ -99,7 +99,7 @@ class TestValidation:
         records[1].visits[0].codes["diag"] = [7]
         data = tmp_path / "cohort.jsonl"
         save_dataset(records, vocab, str(data))
-        with pytest.raises(ValueError, match="p1"):
+        with pytest.raises(ValueError, match=r":2: .*p1"):
             load_dataset(str(data))
 
 
