@@ -14,11 +14,16 @@ prediction target's own event type plus the interval token; task-unaware
 attention queries with every token.  Keys and values are all present tokens in
 both regimes.  Each query's output is its own embedding plus the
 attention-weighted sum of all key embeddings, written into a fixed per-code
-slot of the visit vector; slots of absent codes stay zero.  Every token is
-scored as a query in one masked ``(V, K, K)`` softmax, and only the query
-tokens' outputs are placed in slots.  The weighted sums add their K summands
-in ascending value order, so relabelling codes within a type permutes slots
-and weights and changes no bit of any value.
+slot of the visit vector; slots of absent codes stay zero.  Each visit's
+query tokens are gathered, in token order, into a ``(V, Q, E)`` array padded
+to the visit with the most queries, and scored against all K keys in one
+masked ``(V, Q, K)`` softmax; padded query rows are never placed in a slot.
+When every present token queries (always in task-unaware mode) the token
+array itself is the query array.  A query row's logits, weights and output do
+not depend on which other rows are scored, so both regimes give the same bits
+for the same query.  The weighted sums add their K summands in ascending
+value order, so relabelling codes within a type permutes slots and weights
+and changes no bit of any value.
 """
 
 from __future__ import annotations
@@ -121,23 +126,23 @@ class AttentionRecord:
 class BatchAttention:
     """Cross-event attention weights of a batch of visits, still padded.
 
-    ``padded_weights[v, q, k]`` is the weight token q of visit v gives token k
-    (rows of padding and of non-query tokens included); ``slots[v, q]`` is
-    the slot a query token writes, -1 for tokens that do not query.
+    ``queries[v, j]`` is the token position of visit v's j-th query, in token
+    order, and -1 past its last query; ``query_weights[v, j, k]`` is the
+    weight that query gives token k (padding rows and columns included).
     """
 
     tokens: TokenBatch
-    padded_weights: np.ndarray
-    slots: np.ndarray
+    query_weights: np.ndarray
+    queries: np.ndarray
 
     def records(self) -> list:
         """One :class:`AttentionRecord` per visit, query rows by present key columns."""
         out = []
-        for v in range(len(self.slots)):
+        for v, row in enumerate(self.queries):
             meta = self.tokens.meta(v)
-            queries = np.nonzero(self.slots[v] >= 0)[0]
+            queries = row[row >= 0]
             out.append(AttentionRecord(
-                weights=self.padded_weights[v][np.ix_(queries, np.arange(len(meta)))],
+                weights=self.query_weights[v, :len(queries), :len(meta)],
                 query_meta=[meta[q] for q in queries], key_meta=meta))
         return out
 
@@ -185,13 +190,23 @@ def attend(tokens: TokenBatch, mode: str, primary: str = None, *, vocab: VocabSp
     if mode == "task-aware" and primary not in EVENT_TYPES:
         raise ValueError("task-aware attention requires a primary event type")
 
-    x = tokens.values
-    logits = ad.scale(ad.einsum("vqe,vke->vqk", x, x), 1.0 / math.sqrt(x.shape[-1]))
-    weights = ad.stable_softmax(logits, tokens.type_ids[:, None, :] >= 0)
-    out = ad.add(x, ad.weighted_row_sum(weights, x))
     slots, n_slots = _token_slots(tokens, mode, primary, vocab)
-    return (_place_in_slots(out, slots, n_slots),
-            BatchAttention(tokens=tokens, padded_weights=weights.data, slots=slots))
+    is_query = slots >= 0
+    # each visit's query positions first, in token order; the rest pad to the longest
+    order = np.argsort(~is_query, axis=1, kind="stable")[:, :is_query.sum(axis=1).max()]
+    queries = np.where(np.take_along_axis(is_query, order, axis=1), order, -1)
+    x = tokens.values
+    if np.array_equal(is_query, tokens.type_ids >= 0):    # every present token queries
+        q = x
+    else:
+        n_visits, width, embed_dim = x.shape
+        q = ad.take_row(ad.reshape(x, (n_visits * width, embed_dim)),
+                        order + width * np.arange(n_visits)[:, None])
+    logits = ad.scale(ad.einsum("vqe,vke->vqk", q, x), 1.0 / math.sqrt(x.shape[-1]))
+    weights = ad.stable_softmax(logits, tokens.type_ids[:, None, :] >= 0)
+    out = ad.add(q, ad.weighted_row_sum(weights, x))
+    return (_place_in_slots(out, np.take_along_axis(slots, order, axis=1), n_slots),
+            BatchAttention(tokens=tokens, query_weights=weights.data, queries=queries))
 
 
 def raw_slot_layout(tokens: TokenBatch, mode: str, primary: str, vocab: VocabSpec) -> ad.Tensor:

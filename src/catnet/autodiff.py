@@ -9,7 +9,10 @@ forward passes run.
 Ops work on whole batches: elementwise ops broadcast like numpy, and the
 contraction, softmax and weighted-sum ops take any leading batch axes.  Every
 op result is checked for finiteness once; the error names the op and the
-shapes of its inputs.
+shapes of its inputs.  Every op goes through :func:`record`, which does that
+check and puts the result on the active tape with a backward function that
+hands each input its gradient through :func:`accumulate`; an op written
+elsewhere (the fused recurrence in :mod:`catnet.backbone`) uses the same two.
 
 Forward contractions run through ``np.einsum`` without path optimisation, so
 each output entry is one dot product over the contracted axis, computed the
@@ -108,8 +111,12 @@ def parameter(data):
     return Tensor(data, requires_grad=True)
 
 
-def _result(op, data, inputs, backward_fn):
-    """Wrap an op result after its one finiteness check; record it when a tape is active."""
+def record(op, data, inputs, backward_fn):
+    """Wrap an op result after its one finiteness check; record it when a tape is active.
+
+    It is recorded, and requires a gradient, only if some input requires one;
+    ``backward_fn(g)`` hands the inputs their gradients with :func:`accumulate`.
+    """
     data = np.asarray(data, dtype=np.float64)
     if not np.isfinite(data).all():
         shapes = ", ".join(str(t.data.shape) for t in inputs)
@@ -123,12 +130,15 @@ def _result(op, data, inputs, backward_fn):
     return out
 
 
-def _accum(t, delta):
+def accumulate(t, delta):
+    """Add ``delta`` (shaped like ``t``) to ``t.grad`` if ``t`` requires a gradient."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += delta
+        t.grad = np.empty_like(t.data)   # t's own layout, so later contractions sum alike
+        t.grad[...] = delta
+    else:
+        t.grad += delta
 
 
 def backward(loss):
@@ -162,6 +172,8 @@ def backward(loss):
 
 
 def _broadcast(op, a, b):
+    if a.data.shape == b.data.shape:
+        return
     try:
         np.broadcast_shapes(a.data.shape, b.data.shape)
     except ValueError:
@@ -188,11 +200,11 @@ def add(a, b):
 
     def bwd(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
+            accumulate(a, _unbroadcast(g, a.data.shape))
         if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.data.shape))
+            accumulate(b, _unbroadcast(g, b.data.shape))
 
-    return _result("add", a.data + b.data, (a, b), bwd)
+    return record("add", a.data + b.data, (a, b), bwd)
 
 
 def sub(a, b):
@@ -200,11 +212,11 @@ def sub(a, b):
 
     def bwd(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
+            accumulate(a, _unbroadcast(g, a.data.shape))
         if b.requires_grad:
-            _accum(b, -_unbroadcast(g, b.data.shape))
+            accumulate(b, -_unbroadcast(g, b.data.shape))
 
-    return _result("sub", a.data - b.data, (a, b), bwd)
+    return record("sub", a.data - b.data, (a, b), bwd)
 
 
 def mul(a, b):
@@ -212,11 +224,11 @@ def mul(a, b):
 
     def bwd(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+            accumulate(a, _unbroadcast(g * b.data, a.data.shape))
         if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
+            accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
-    return _result("mul", a.data * b.data, (a, b), bwd)
+    return record("mul", a.data * b.data, (a, b), bwd)
 
 
 def scale(t, c):
@@ -224,9 +236,9 @@ def scale(t, c):
     c = float(c)
 
     def bwd(g):
-        _accum(t, g * c)
+        accumulate(t, g * c)
 
-    return _result("scale", t.data * c, (t,), bwd)
+    return record("scale", t.data * c, (t,), bwd)
 
 
 def affine(t, scale_c, shift_c):
@@ -234,18 +246,18 @@ def affine(t, scale_c, shift_c):
     scale_c = float(scale_c)
 
     def bwd(g):
-        _accum(t, g * scale_c)
+        accumulate(t, g * scale_c)
 
-    return _result("affine", scale_c * t.data + float(shift_c), (t,), bwd)
+    return record("affine", scale_c * t.data + float(shift_c), (t,), bwd)
 
 
 def tanh(t):
     out_data = np.tanh(t.data)
 
     def bwd(g):
-        _accum(t, g * (1.0 - out_data * out_data))
+        accumulate(t, g * (1.0 - out_data * out_data))
 
-    return _result("tanh", out_data, (t,), bwd)
+    return record("tanh", out_data, (t,), bwd)
 
 
 def sigmoid(t):
@@ -254,9 +266,9 @@ def sigmoid(t):
     out_data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def bwd(g):
-        _accum(t, g * out_data * (1.0 - out_data))
+        accumulate(t, g * out_data * (1.0 - out_data))
 
-    return _result("sigmoid", out_data, (t,), bwd)
+    return record("sigmoid", out_data, (t,), bwd)
 
 
 def einsum(spec, a, b):
@@ -278,11 +290,11 @@ def einsum(spec, a, b):
 
     def bwd(g):
         if a.requires_grad:
-            _accum(a, np.einsum(f"{out},{sb}->{sa}", g, b.data))
+            accumulate(a, np.einsum(f"{out},{sb}->{sa}", g, b.data))
         if b.requires_grad:
-            _accum(b, np.einsum(f"{sa},{out}->{sb}", a.data, g))
+            accumulate(b, np.einsum(f"{sa},{out}->{sb}", a.data, g))
 
-    return _result("einsum", out_data, (a, b), bwd)
+    return record("einsum", out_data, (a, b), bwd)
 
 
 _MATMUL_SPECS = {(2, 2): "ij,jk->ik", (2, 1): "ij,j->i", (1, 2): "i,ij->j", (1, 1): "i,i->"}
@@ -319,9 +331,9 @@ def concat(parts, axis=-1):
 
     def bwd(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accum(p, g[(slice(None),) * axis + (slice(lo, hi),)])
+            accumulate(p, g[(slice(None),) * axis + (slice(lo, hi),)])
 
-    return _result("concat", out_data, parts, bwd)
+    return record("concat", out_data, parts, bwd)
 
 
 def stack(rows, axis=0):
@@ -334,9 +346,9 @@ def stack(rows, axis=0):
 
     def bwd(g):
         for i, r in enumerate(rows):
-            _accum(r, np.take(g, i, axis=axis))
+            accumulate(r, np.take(g, i, axis=axis))
 
-    return _result("stack", np.stack([r.data for r in rows], axis=axis), rows, bwd)
+    return record("stack", np.stack([r.data for r in rows], axis=axis), rows, bwd)
 
 
 def reshape(t, shape):
@@ -344,9 +356,9 @@ def reshape(t, shape):
     old = t.data.shape
 
     def bwd(g):
-        _accum(t, g.reshape(old))
+        accumulate(t, g.reshape(old))
 
-    return _result("reshape", t.data.reshape(shape), (t,), bwd)
+    return record("reshape", t.data.reshape(shape), (t,), bwd)
 
 
 def sum_over(t, axis=None):
@@ -363,11 +375,11 @@ def sum_over(t, axis=None):
 
     def bwd(g):
         if axis is None:
-            _accum(t, np.broadcast_to(g, shape).copy())
+            accumulate(t, np.broadcast_to(g, shape))
         else:
-            _accum(t, np.broadcast_to(np.expand_dims(g, axis), shape).copy())
+            accumulate(t, np.broadcast_to(np.expand_dims(g, axis), shape))
 
-    return _result("sum_over", out_data, (t,), bwd)
+    return record("sum_over", out_data, (t,), bwd)
 
 
 def mean(t):
@@ -390,7 +402,7 @@ def take_row(table, index):
                 table.grad = np.zeros_like(table.data)
             np.add.at(table.grad, index, g)
 
-    return _result("take_row", np.take(table.data, index, axis=0), (table,), bwd)
+    return record("take_row", np.take(table.data, index, axis=0), (table,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +437,9 @@ def stable_softmax(logits, mask=None):
 
     def bwd(g):
         inner = np.cumsum(g * probs, axis=-1)[..., -1:]
-        _accum(logits, probs * (g - inner))
+        accumulate(logits, probs * (g - inner))
 
-    return _result("stable_softmax", probs, (logits,), bwd)
+    return record("stable_softmax", probs, (logits,), bwd)
 
 
 def weighted_row_sum(weights, rows, sort=True):
@@ -452,11 +464,11 @@ def weighted_row_sum(weights, rows, sort=True):
 
     def bwd(g):
         if weights.requires_grad:
-            _accum(weights, np.einsum("...qn,...kn->...qk", g, r))
+            accumulate(weights, np.einsum("...qn,...kn->...qk", g, r))
         if rows.requires_grad:
-            _accum(rows, np.einsum("...qk,...qn->...kn", w, g))
+            accumulate(rows, np.einsum("...qk,...qn->...kn", w, g))
 
-    return _result("weighted_row_sum", out, (weights, rows), bwd)
+    return record("weighted_row_sum", out, (weights, rows), bwd)
 
 
 BCE_EPS = 1e-7
@@ -480,6 +492,6 @@ def binary_cross_entropy(pred, target):
     def bwd(g):
         inside = (pred.data > BCE_EPS) & (pred.data < 1.0 - BCE_EPS)
         d = np.where(inside, (-y / p + (1.0 - y) / (1.0 - p)) / y.size, 0.0)
-        _accum(pred, float(g) * d)
+        accumulate(pred, float(g) * d)
 
-    return _result("binary_cross_entropy", loss, (pred,), bwd)
+    return record("binary_cross_entropy", loss, (pred,), bwd)

@@ -3,8 +3,14 @@
 Single-layer, unidirectional GRU or LSTM cells with zero initial state.  A
 batch of B sequences arrives packed: ``inputs`` holds the V = sum(lengths)
 input vectors one sequence after another, and ``lengths`` says how many
-belong to each.  Each gate's input projection runs once over all V rows; the
-recurrence then runs T = max(lengths) steps on ``(B, H)`` state arrays.  The
+belong to each.  Each gate's input projection runs once over all V rows and
+is gathered into a time-major ``(T, B, H)`` array, T = max(lengths).  All T
+steps on ``(B, H)`` states are then one tape op in numpy: the forward
+evaluates the same expressions, in the same order, as per-step autodiff ops
+would; the backward is hand-written backpropagation through time over the
+gate activations the forward kept (only while a tape records).  Every gate
+pre-activation is checked for finiteness; the error names the op and the
+shapes of its inputs.  The
 ``(B, T)`` step mask zeroes every state past a sequence's length, so padded
 positions read as zeros, and a sequence's own steps never read another row.
 Batch composition and trailing padding therefore never change a sequence's
@@ -72,25 +78,83 @@ def run_sequence(inputs: ad.Tensor, lengths, params: RecurrentParams) -> ad.Tens
     rows = np.where(mask.T, np.cumsum(lengths) - lengths + np.arange(n_steps)[:, None], 0)
     w = params.weights
     gates = _GRU_GATES if params.kind == "gru" else _LSTM_GATES
-    projected = {g: ad.take_row(ad.linear(inputs, w[f"w{g}"], w[f"b{g}"]), rows) for g in gates}
+    projected = [ad.take_row(ad.linear(inputs, w[f"w{g}"], w[f"b{g}"]), rows) for g in gates]
+    return _recurrence(params.kind, projected, [w[f"u{g}"] for g in gates], mask)
 
-    h = c = ad.tensor(np.zeros((n_seq, params.hidden_dim)))
-    states = []
+
+def _sigmoid(a):
+    """The formula of ``ad.sigmoid``, so that states match the per-step ops bit for bit."""
+    e = np.exp(-np.abs(a))
+    return np.where(a >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _recurrence(kind, projected, state_maps, mask):
+    """One tape op: ``(T, B, H)`` gate projections and ``(H, H)`` state maps -> ``(B, T, H)``."""
+    inputs = projected + state_maps
+    x, u = [p.data for p in projected], [m.data for m in state_maps]
+    n_steps, n_seq, hidden = x[0].shape
+    # projections carry gradients only while a tape records (their input maps are parameters)
+    cache = [] if any(p.requires_grad for p in projected) else None
+    pre = np.empty((n_steps, len(x), n_seq, hidden))     # every pre-activation, checked below
+    states = np.empty((n_seq, n_steps, hidden))
+
+    def gate(k, t, h, act=_sigmoid):
+        return act(np.add(x[k][t], np.einsum("ai,oi->ao", h, u[k]), out=pre[t, k]))
+
+    h = c = np.zeros((n_seq, hidden))
     for t in range(n_steps):
-        x = {g: ad.take_row(p, t) for g, p in projected.items()}
-        if params.kind == "gru":
-            z = ad.sigmoid(ad.add(x["z"], ad.linear(h, w["uz"])))
-            r = ad.sigmoid(ad.add(x["r"], ad.linear(h, w["ur"])))
-            candidate = ad.tanh(ad.add(x["h"], ad.linear(ad.mul(r, h), w["uh"])))
-            h = ad.add(ad.mul(ad.affine(z, -1.0, 1.0), h), ad.mul(z, candidate))
+        h_prev, c_prev = h, c
+        if kind == "gru":
+            z, r = gate(0, t, h), gate(1, t, h)
+            cand = gate(2, t, r * h, np.tanh)
+            h = (-1.0 * z + 1.0) * h + z * cand
+            acts = (z, r, cand)
         else:
-            i = ad.sigmoid(ad.add(x["i"], ad.linear(h, w["ui"])))
-            f = ad.sigmoid(ad.add(x["f"], ad.linear(h, w["uf"])))
-            o = ad.sigmoid(ad.add(x["o"], ad.linear(h, w["uo"])))
-            g = ad.tanh(ad.add(x["g"], ad.linear(h, w["ug"])))
-            c = ad.add(ad.mul(f, c), ad.mul(i, g))
-            h = ad.mul(o, ad.tanh(c))
-        if not mask[:, t].all():
-            h = ad.mul(h, ad.tensor(mask[:, t, None]))
-        states.append(h)
-    return ad.stack(states, axis=1)
+            i, f, o, g = gate(0, t, h), gate(1, t, h), gate(2, t, h), gate(3, t, h, np.tanh)
+            c = f * c + i * g
+            acts = (i, f, o, g, np.tanh(c))
+            h = o * acts[-1]
+        h = h * mask[:, t, None]           # zero past each sequence's length
+        states[:, t] = h
+        if cache is not None:
+            cache.append((h_prev, c_prev) + acts)
+    op = f"{kind} recurrence"
+    if not np.isfinite(pre).all():
+        shapes = ", ".join(str(t.data.shape) for t in inputs)
+        raise FloatingPointError(f"{op} produced non-finite values from inputs of shape {shapes}")
+
+    def bwd(grad):
+        """Backpropagation through time, adding each gradient in the order the per-step ops would."""
+        dx = np.empty((len(x), n_steps, n_seq, hidden))
+        du = [np.zeros_like(m) for m in u]
+        dc = np.zeros((n_seq, hidden))
+        carry = ()                          # step t+1's gradients for h_t
+        for t in reversed(range(n_steps)):
+            h_prev, c_prev, *acts = cache[t]
+            dh = sum(carry, grad[:, t]) * mask[:, t, None]
+            if kind == "gru":
+                z, r, cand = acts
+                dx[0, t] = (dh * cand - dh * h_prev) * z * (1.0 - z)
+                dx[2, t] = dh * z * (1.0 - cand * cand)
+                d_rh = np.einsum("ao,oi->ai", dx[2, t], u[2])
+                dx[1, t] = d_rh * h_prev * r * (1.0 - r)
+                carry = (dh * (-1.0 * z + 1.0), d_rh * r) + tuple(
+                    np.einsum("ao,oi->ai", dx[k, t], u[k]) for k in (1, 0))
+                sources = (h_prev, h_prev, r * h_prev)
+            else:
+                i, f, o, g, tanh_c = acts
+                dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+                dx[0, t] = dc * g * i * (1.0 - i)
+                dx[1, t] = dc * c_prev * f * (1.0 - f)
+                dx[2, t] = dh * tanh_c * o * (1.0 - o)
+                dx[3, t] = dc * i * (1.0 - g * g)
+                dc = dc * f
+                carry = tuple(np.einsum("ao,oi->ai", dx[k, t], u[k]) for k in (3, 2, 1, 0))
+                sources = (h_prev,) * 4
+            for k, source in enumerate(sources):
+                du[k] += np.einsum("ai,ao->oi", source, dx[k, t])
+        for k, (p, m) in enumerate(zip(projected, state_maps)):
+            ad.accumulate(p, dx[k])
+            ad.accumulate(m, du[k])
+
+    return ad.record(op, states, inputs, bwd)

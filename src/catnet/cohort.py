@@ -71,8 +71,9 @@ class Visit:
             raise ValueError(f"patient {owner}: visit time must be finite and >= 0")
         for etype in EVENT_TYPES:
             lst = self.codes.get(etype, [])
-            if any(int(c) != c for c in lst):
-                raise ValueError(f"patient {owner}: non-integer {etype} code")
+            for c in lst:
+                if int(c) != c:
+                    raise ValueError(f"patient {owner}: non-integer {etype} code {c!r}")
             if list(lst) != sorted(set(int(c) for c in lst)):
                 raise ValueError(
                     f"patient {owner}: {etype} codes must be sorted and duplicate-free")
@@ -132,11 +133,16 @@ class PatientRecord:
     def from_dict(cls, d: dict) -> "PatientRecord":
         demo = d["demographics"]
         visits = [Visit(time_days=float(v["time_days"]),
-                        codes={t: [int(c) for c in v["codes"].get(t, [])]
+                        codes={t: [_as_code(c) for c in v["codes"].get(t, [])]
                                for t in EVENT_TYPES})
                   for v in d["visits"]]
         return cls(patient_id=str(d["patient_id"]), age_years=float(demo["age_years"]),
                    sex=str(demo["sex"]), visits=visits, mortality=bool(d["mortality"]))
+
+
+def _as_code(c):
+    """``c`` as an int if it is integral; otherwise unchanged, for ``validate`` to reject."""
+    return int(c) if int(c) == c else c
 
 
 @dataclass
@@ -259,7 +265,7 @@ def load_dataset(data_path: str, vocab_path: str = None):
             try:
                 rec = PatientRecord.from_dict(json.loads(line))
                 rec.validate(vocab)
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as exc:
                 raise ValueError(f"{data_path}:{lineno}: malformed record: {exc}") from exc
             records.append(rec)
     return records, vocab

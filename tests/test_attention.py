@@ -236,6 +236,26 @@ def test_visits_in_a_batch_match_each_alone_bitwise():
             assert record.query_meta == alone_rec.query_meta
 
 
+def test_task_aware_queries_equal_their_task_unaware_rows_bitwise():
+    rng = np.random.default_rng(13)
+    vocab = VocabSpec(med=6, diag=5, lab=4, proc=3)
+    embeddings = CodeEmbeddings.init(vocab, 4, rng)
+    visits = [Visit(time_days=0.0, codes={etype: sorted(rng.choice(
+        vocab.size(etype), size=rng.integers(0, vocab.size(etype)), replace=False).tolist())
+        for etype in ("med", "diag", "lab", "proc")}) for _ in range(6)]
+    tokens = build_token_batch(visits, embeddings, ad.tensor(rng.uniform(-0.1, 0.1, (6, 4))))
+    aware, aware_att = attend_batch(tokens, "task-aware", primary="med", vocab=vocab)
+    unaware, unaware_att = attend_batch(tokens, "task-unaware", vocab=vocab)
+    for rec_a, rec_u in zip(aware_att.records(), unaware_att.records()):
+        rows = [j for j, (etype, _) in enumerate(rec_u.query_meta) if etype in ("med", "time")]
+        assert rec_a.query_meta == [rec_u.query_meta[j] for j in rows]
+        np.testing.assert_array_equal(rec_a.weights, rec_u.weights[rows])
+    aware_slots = aware.data.reshape(6, -1, 4)
+    unaware_slots = unaware.data.reshape(6, -1, 4)
+    np.testing.assert_array_equal(aware_slots[:, :6], unaware_slots[:, :6])   # med block
+    np.testing.assert_array_equal(aware_slots[:, -1], unaware_slots[:, -1])   # interval
+
+
 def test_raw_slot_layout_matches_attend_layout():
     vocab = VocabSpec(med=3, diag=2, lab=0, proc=0)
     codes = {"med": [1], "diag": [0], "lab": [], "proc": []}

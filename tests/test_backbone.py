@@ -170,14 +170,12 @@ class TestRunSequence:
     def test_three_step_gradients_match_finite_differences(self, kind):
         rng = np.random.default_rng(10)
         params = RecurrentParams.init(kind, 2, 3, rng)
-        seq_data = rng.uniform(-1, 1, (3, 2))
-        coeff = rng.uniform(-1, 1, 3)
-        tensors = list(params.weights.values())
+        rows = ad.parameter(rng.uniform(-1, 1, (5, 2)))   # a 3-step and a 2-step sequence
+        coeff = ad.tensor(rng.uniform(-1, 1, (2, 3, 3)))  # weighs the padded state too
+        tensors = list(params.weights.values()) + [rows]
 
         def forward():
-            out = run(seq_data, params)
-            total = ad.sum_over(ad.take_row(out, 0), axis=0)
-            return ad.sum_over(ad.mul(total, ad.tensor(coeff)))
+            return ad.sum_over(ad.mul(run_sequence(rows, [3, 2], params), coeff))
 
         with ad.Tape():
             ad.backward(forward())
@@ -185,6 +183,18 @@ class TestRunSequence:
                     for t in tensors]
         numeric = central_difference(lambda: forward().item(), [t.data for t in tensors])
         assert max_relative_error(analytic, numeric) <= 1e-4
+
+    @pytest.mark.parametrize("kind", ["gru", "lstm"])
+    def test_overflowing_pre_activation_rejected(self, kind):
+        params = zero_params(kind)
+        first, last = ("z", "h") if kind == "gru" else ("i", "g")
+        params.weights[f"w{last}"].data[...] = np.eye(3)      # step 1 writes a nonzero state
+        params.weights[f"b{first}"].data[...] = 1.5e308
+        params.weights[f"u{first}"].data[...] = 1e308         # step 2 overflows on that state
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(FloatingPointError,
+                              match=f"{kind} recurrence produced non-finite values from inputs"):
+            run(np.ones((2, 3)), params)
 
     def test_lengths_must_split_the_inputs(self):
         params = RecurrentParams.init("gru", 3, 4, np.random.default_rng(11))

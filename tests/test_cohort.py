@@ -102,6 +102,19 @@ class TestValidation:
         with pytest.raises(ValueError, match=r":2: .*p1"):
             load_dataset(str(data))
 
+    @pytest.mark.parametrize("code, message", [
+        ("1.5", r"cohort\.jsonl:2: .*p1: non-integer med code 1\.5"),
+        ("Infinity", r"cohort\.jsonl:2: malformed record: .*infinity"),
+    ], ids=["fraction", "infinity"])
+    def test_non_integer_code_rejected_on_load(self, tmp_path, vocab, code, message):
+        data = tmp_path / "cohort.jsonl"
+        save_dataset(make_cohort(3), vocab, str(data))
+        lines = data.read_text().splitlines()
+        lines[1] = lines[1].replace('"med":[', f'"med":[{code},', 1)
+        data.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=message):
+            load_dataset(str(data))
+
 
 class TestSplit:
     def test_ten_records(self):
