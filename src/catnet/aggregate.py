@@ -64,9 +64,7 @@ def visit_self_attention(states: ad.Tensor, lengths):
         raise ValueError(f"visit_self_attention: states {states.shape} vs lengths {list(lengths)}")
     logits = ad.scale(ad.einsum("bqh,bkh->bqk", states, states), 1.0 / math.sqrt(states.shape[-1]))
     alpha = ad.stable_softmax(logits, mask[:, None, :])
-    contexts = ad.weighted_row_sum(alpha, states, sort=False)
-    if not mask.all():
-        contexts = ad.mul(contexts, ad.tensor(mask[:, :, None]))
+    contexts = ad.mul(ad.weighted_row_sum(alpha, states, sort=False), ad.tensor(mask[:, :, None]))
     return contexts, [alpha.data[b, :n, :n] for b, n in enumerate(lengths)]
 
 

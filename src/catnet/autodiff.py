@@ -7,12 +7,21 @@ an active tape, operations compute values only, which is how evaluation-mode
 forward passes run.
 
 Ops work on whole batches: elementwise ops broadcast like numpy, and the
-contraction, softmax and weighted-sum ops take any leading batch axes.  Every
-op result is checked for finiteness once; the error names the op and the
-shapes of its inputs.  Every op goes through :func:`record`, which does that
-check and puts the result on the active tape with a backward function that
-hands each input its gradient through :func:`accumulate`; an op written
-elsewhere (the fused recurrence in :mod:`catnet.backbone`) uses the same two.
+contraction, softmax and weighted-sum ops take any leading batch axes.
+
+Each primitive op goes through :func:`record`, which checks its result with
+:func:`check_finite` (the error names the op and the shapes of its inputs)
+and puts it on the active tape with a backward function that hands each input
+its gradient through :func:`accumulate`.  The primitives, each with its own
+backward, are ``add``, ``mul``, ``tanh``, ``sigmoid`` (values by
+:func:`logistic`), ``einsum``, ``concat``, ``reshape``, ``sum_over``,
+``take_row``, ``stable_softmax``, ``weighted_row_sum`` and
+``binary_cross_entropy``.  The other ops are built from them and have no
+gradient rule of their own: ``scale``, ``affine`` and ``sub`` from ``mul`` and
+``add`` with constants, ``matmul`` and ``linear`` from ``einsum`` (and
+``add``), ``stack`` from ``reshape`` and ``concat``, ``mean`` from
+``sum_over`` and ``scale``.  An op written elsewhere (the fused recurrence in
+:mod:`catnet.backbone`) uses the same four helpers.
 
 Forward contractions run through ``np.einsum`` without path optimisation, so
 each output entry is one dot product over the contracted axis, computed the
@@ -111,6 +120,13 @@ def parameter(data):
     return Tensor(data, requires_grad=True)
 
 
+def check_finite(op, data, inputs):
+    """Raise ``FloatingPointError`` naming ``op`` and its input shapes if ``data`` is not finite."""
+    if not np.isfinite(data).all():
+        shapes = ", ".join(str(t.data.shape) for t in inputs)
+        raise FloatingPointError(f"{op} produced non-finite values from inputs of shape {shapes}")
+
+
 def record(op, data, inputs, backward_fn):
     """Wrap an op result after its one finiteness check; record it when a tape is active.
 
@@ -118,9 +134,7 @@ def record(op, data, inputs, backward_fn):
     ``backward_fn(g)`` hands the inputs their gradients with :func:`accumulate`.
     """
     data = np.asarray(data, dtype=np.float64)
-    if not np.isfinite(data).all():
-        shapes = ", ".join(str(t.data.shape) for t in inputs)
-        raise FloatingPointError(f"{op} produced non-finite values from inputs of shape {shapes}")
+    check_finite(op, data, inputs)
     tape = _active_tape()
     needs = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor.__new__(Tensor)
@@ -207,18 +221,6 @@ def add(a, b):
     return record("add", a.data + b.data, (a, b), bwd)
 
 
-def sub(a, b):
-    _broadcast("sub", a, b)
-
-    def bwd(g):
-        if a.requires_grad:
-            accumulate(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            accumulate(b, -_unbroadcast(g, b.data.shape))
-
-    return record("sub", a.data - b.data, (a, b), bwd)
-
-
 def mul(a, b):
     _broadcast("mul", a, b)
 
@@ -233,22 +235,16 @@ def mul(a, b):
 
 def scale(t, c):
     """t * c for a plain float c."""
-    c = float(c)
-
-    def bwd(g):
-        accumulate(t, g * c)
-
-    return record("scale", t.data * c, (t,), bwd)
+    return mul(t, tensor(c))
 
 
 def affine(t, scale_c, shift_c):
     """scale_c * t + shift_c, both plain floats (e.g. 1 - x)."""
-    scale_c = float(scale_c)
+    return add(scale(t, scale_c), tensor(shift_c))
 
-    def bwd(g):
-        accumulate(t, g * scale_c)
 
-    return record("affine", scale_c * t.data + float(shift_c), (t,), bwd)
+def sub(a, b):
+    return add(a, scale(b, -1.0))
 
 
 def tanh(t):
@@ -260,10 +256,14 @@ def tanh(t):
     return record("tanh", out_data, (t,), bwd)
 
 
-def sigmoid(t):
-    x = t.data
+def logistic(x):
+    """``1 / (1 + exp(-x))`` of an array, without overflow for large ``|x|``."""
     e = np.exp(-np.abs(x))
-    out_data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def sigmoid(t):
+    out_data = logistic(t.data)
 
     def bwd(g):
         accumulate(t, g * out_data * (1.0 - out_data))
@@ -302,12 +302,10 @@ _MATMUL_SPECS = {(2, 2): "ij,jk->ik", (2, 1): "ij,j->i", (1, 2): "i,ij->j", (1, 
 
 def matmul(a, b):
     """Matrix product with numpy semantics for 1-D and 2-D operands."""
-    ad_, bd = a.data, b.data
-    spec = _MATMUL_SPECS.get((ad_.ndim, bd.ndim))
+    spec = _MATMUL_SPECS.get((a.data.ndim, b.data.ndim))
     if spec is None:
-        raise ValueError(f"matmul: operands must be 1-D or 2-D, got {ad_.shape} and {bd.shape}")
-    if ad_.shape[-1] != bd.shape[0]:
-        raise ValueError(f"matmul: shape mismatch {ad_.shape} vs {bd.shape}")
+        raise ValueError(f"matmul: operands must be 1-D or 2-D, "
+                         f"got {a.data.shape} and {b.data.shape}")
     return einsum(spec, a, b)
 
 
@@ -337,18 +335,10 @@ def concat(parts, axis=-1):
 
 
 def stack(rows, axis=0):
-    """Stack equal-shape tensors along a new axis."""
-    rows = list(rows)
-    shape = rows[0].data.shape
-    for r in rows:
-        if r.data.shape != shape:
-            raise ValueError(f"stack: row shape mismatch {r.data.shape} vs {shape}")
-
-    def bwd(g):
-        for i, r in enumerate(rows):
-            accumulate(r, np.take(g, i, axis=axis))
-
-    return record("stack", np.stack([r.data for r in rows], axis=axis), rows, bwd)
+    """Stack equal-shape tensors along a new axis: a :func:`concat` of reshaped rows."""
+    # reshaped last row first, so that backward hands the rows their gradients in row order
+    parts = [reshape(r, np.expand_dims(r.data, axis).shape) for r in reversed(list(rows))]
+    return concat(parts[::-1], axis=axis)
 
 
 def reshape(t, shape):

@@ -7,10 +7,11 @@ belong to each.  Each gate's input projection runs once over all V rows and
 is gathered into a time-major ``(T, B, H)`` array, T = max(lengths).  All T
 steps on ``(B, H)`` states are then one tape op in numpy: the forward
 evaluates the same expressions, in the same order, as per-step autodiff ops
-would; the backward is hand-written backpropagation through time over the
-gate activations the forward kept (only while a tape records).  Every gate
-pre-activation is checked for finiteness; the error names the op and the
-shapes of its inputs.  The
+would, with ``ad.logistic`` as the sigmoid that ``ad.sigmoid`` applies;
+the backward is hand-written backpropagation through time over the gate
+activations the forward kept (only while a tape records).  Every gate
+pre-activation goes through ``ad.check_finite``, the check every tape op
+makes, so the error names the op and the shapes of its inputs.  The
 ``(B, T)`` step mask zeroes every state past a sequence's length, so padded
 positions read as zeros, and a sequence's own steps never read another row.
 Batch composition and trailing padding therefore never change a sequence's
@@ -82,12 +83,6 @@ def run_sequence(inputs: ad.Tensor, lengths, params: RecurrentParams) -> ad.Tens
     return _recurrence(params.kind, projected, [w[f"u{g}"] for g in gates], mask)
 
 
-def _sigmoid(a):
-    """The formula of ``ad.sigmoid``, so that states match the per-step ops bit for bit."""
-    e = np.exp(-np.abs(a))
-    return np.where(a >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
 def _recurrence(kind, projected, state_maps, mask):
     """One tape op: ``(T, B, H)`` gate projections and ``(H, H)`` state maps -> ``(B, T, H)``."""
     inputs = projected + state_maps
@@ -98,7 +93,7 @@ def _recurrence(kind, projected, state_maps, mask):
     pre = np.empty((n_steps, len(x), n_seq, hidden))     # every pre-activation, checked below
     states = np.empty((n_seq, n_steps, hidden))
 
-    def gate(k, t, h, act=_sigmoid):
+    def gate(k, t, h, act=ad.logistic):
         return act(np.add(x[k][t], np.einsum("ai,oi->ao", h, u[k]), out=pre[t, k]))
 
     h = c = np.zeros((n_seq, hidden))
@@ -119,9 +114,7 @@ def _recurrence(kind, projected, state_maps, mask):
         if cache is not None:
             cache.append((h_prev, c_prev) + acts)
     op = f"{kind} recurrence"
-    if not np.isfinite(pre).all():
-        shapes = ", ".join(str(t.data.shape) for t in inputs)
-        raise FloatingPointError(f"{op} produced non-finite values from inputs of shape {shapes}")
+    ad.check_finite(op, pre, inputs)
 
     def bwd(grad):
         """Backpropagation through time, adding each gradient in the order the per-step ops would."""

@@ -72,7 +72,7 @@ class Visit:
         for etype in EVENT_TYPES:
             lst = self.codes.get(etype, [])
             for c in lst:
-                if int(c) != c:
+                if isinstance(c, bool) or int(c) != c:
                     raise ValueError(f"patient {owner}: non-integer {etype} code {c!r}")
             if list(lst) != sorted(set(int(c) for c in lst)):
                 raise ValueError(
@@ -131,18 +131,21 @@ class PatientRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PatientRecord":
-        demo = d["demographics"]
+        pid, demo, mortality = str(d["patient_id"]), d["demographics"], d["mortality"]
+        if type(mortality) not in (bool, int) or mortality not in (0, 1):
+            raise ValueError(f"patient {pid}: mortality must be 0, 1, true or false, "
+                             f"got {mortality!r}")
         visits = [Visit(time_days=float(v["time_days"]),
                         codes={t: [_as_code(c) for c in v["codes"].get(t, [])]
                                for t in EVENT_TYPES})
                   for v in d["visits"]]
-        return cls(patient_id=str(d["patient_id"]), age_years=float(demo["age_years"]),
-                   sex=str(demo["sex"]), visits=visits, mortality=bool(d["mortality"]))
+        return cls(patient_id=pid, age_years=float(demo["age_years"]),
+                   sex=str(demo["sex"]), visits=visits, mortality=bool(mortality))
 
 
 def _as_code(c):
-    """``c`` as an int if it is integral; otherwise unchanged, for ``validate`` to reject."""
-    return int(c) if int(c) == c else c
+    """``c`` as an int if it is integral and not a bool; else unchanged, for ``validate`` to reject."""
+    return c if isinstance(c, bool) or int(c) != c else int(c)
 
 
 @dataclass

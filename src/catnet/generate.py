@@ -51,7 +51,12 @@ class PlantedRule:
 
 @dataclass
 class GenConfig:
-    """Cohort shape: vocabulary, visit process, prevalences, rules, mortality."""
+    """Cohort shape: vocabulary, visit process, prevalences, rules, mortality.
+
+    The defaults are the standard benchmark cohort: three diag->med rules with
+    a 30-day decay.  ``base_prevalence`` holds one list per event type, one
+    entry per code.
+    """
 
     n_patients: int = 2000
     med: int = 12
@@ -63,9 +68,15 @@ class GenConfig:
     continue_prob: float = 0.55
     gap_log_mu: float = 2.7
     gap_log_sigma: float = 0.3
-    base_prevalence: dict = field(default_factory=dict)
-    rules: list = field(default_factory=list)
-    severe_codes: list = field(default_factory=list)
+    base_prevalence: dict = field(default_factory=lambda: {
+        "med": [0.05, 0.05, 0.05] + list(np.round(np.linspace(0.10, 0.45, 9), 3)),
+        "diag": [0.30, 0.30, 0.30] + list(np.round(np.linspace(0.08, 0.28, 7), 3)),
+        "lab": list(np.round(np.linspace(0.06, 0.30, 8), 3)),
+        "proc": list(np.round(np.linspace(0.05, 0.25, 6), 3))})
+    rules: list = field(default_factory=lambda: [
+        PlantedRule("diag", i, "med", i, boost=14.0, halflife_days=30.0) for i in range(3)])
+    severe_codes: list = field(
+        default_factory=lambda: [("diag", 0), ("diag", 1), ("diag", 2), ("lab", 0)])
     mortality_intercept: float = -2.6
     mortality_weight: float = 0.55
 
@@ -84,8 +95,10 @@ class GenConfig:
                                 (rule.effect_type, rule.effect_code)):
                 if not 0 <= code < vocab.size(etype):
                     raise ValueError(f"rule code {etype}:{code} outside vocabulary")
-        for etype, p in self.base_prevalence.items():
-            values = np.atleast_1d(np.asarray(p, dtype=np.float64))
+        for etype in EVENT_TYPES:
+            values = self.prevalence(etype)
+            if values.shape != (vocab.size(etype),):
+                raise ValueError(f"{etype}: {values.size} prevalences for {vocab.size(etype)} codes")
             if np.any((values < 0) | (values > 1)):
                 raise ValueError(f"base prevalence for {etype} outside [0, 1]")
 
@@ -93,28 +106,12 @@ class GenConfig:
         return VocabSpec(med=self.med, diag=self.diag, lab=self.lab, proc=self.proc)
 
     def prevalence(self, etype: str) -> np.ndarray:
-        size = getattr(self, etype)
-        raw = self.base_prevalence.get(etype, 0.1)
-        arr = np.atleast_1d(np.asarray(raw, dtype=np.float64))
-        if arr.size == 1:
-            arr = np.full(size, arr[0])
-        if arr.size != size:
-            raise ValueError(f"{etype}: {arr.size} prevalences for {size} codes")
-        return arr
+        return np.asarray(self.base_prevalence.get(etype, ()), dtype=np.float64)
 
     @classmethod
     def default(cls) -> "GenConfig":
-        """The standard benchmark cohort: three diag->med rules, 30-day decay."""
-        med_prev = [0.05, 0.05, 0.05] + list(np.round(np.linspace(0.10, 0.45, 9), 3))
-        diag_prev = [0.30, 0.30, 0.30] + list(np.round(np.linspace(0.08, 0.28, 7), 3))
-        lab_prev = list(np.round(np.linspace(0.06, 0.30, 8), 3))
-        proc_prev = list(np.round(np.linspace(0.05, 0.25, 6), 3))
-        rules = [PlantedRule("diag", i, "med", i, boost=14.0, halflife_days=30.0)
-                 for i in range(3)]
-        return cls(base_prevalence={"med": med_prev, "diag": diag_prev,
-                                    "lab": lab_prev, "proc": proc_prev},
-                   rules=rules,
-                   severe_codes=[("diag", 0), ("diag", 1), ("diag", 2), ("lab", 0)])
+        """The standard benchmark cohort: every field at its default."""
+        return cls()
 
 
 def _logit(p: float) -> float:

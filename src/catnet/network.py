@@ -121,13 +121,11 @@ def build_instances(records, task: TaskSpec, vocab: VocabSpec):
 class CatnetModel:
     """All learnable parameters plus the batched forward pass."""
 
-    def __init__(self, config: ModelConfig, vocab: VocabSpec, rng: np.random.Generator = None):
+    def __init__(self, config: ModelConfig, vocab: VocabSpec, rng: np.random.Generator):
         self.config = config
         self.vocab = vocab
         self.n_targets = config.task_spec.target_dim(vocab)
         self.input_width = output_width(config.mode, config.task, vocab, config.embed_dim)
-        if rng is None:
-            rng = np.random.default_rng(0)
         self.embeddings = CodeEmbeddings.init(vocab, config.embed_dim, rng)
         self.interval_kernel = TimeKernelParams.init(config.kernel_dim, config.embed_dim, rng)
         self.decay_kernel = TimeKernelParams.init(config.hidden_dim, config.hidden_dim, rng)

@@ -1,3 +1,5 @@
+"""Finite-difference gradients and the error measure the gradient tests compare them with."""
+
 import numpy as np
 
 

@@ -12,7 +12,7 @@ from catnet.aggregate import (
     visit_self_attention,
 )
 from catnet.time_kernel import TimeKernelParams
-from conftest import central_difference, max_relative_error
+from gradcheck import central_difference, max_relative_error
 
 
 def make_states(values):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from catnet import autodiff as ad
-from conftest import central_difference, max_relative_error
+from gradcheck import central_difference, max_relative_error
 
 
 def test_softmax_uniform_on_equal_logits():
@@ -78,6 +78,32 @@ def test_backward_rejects_untaped_loss():
         ad.backward(y)
 
 
+def test_second_backward_on_same_loss_rejected():
+    x = ad.parameter([1.0, 2.0])
+    with ad.Tape():
+        loss = ad.sum_over(ad.tanh(x))
+        ad.backward(loss)
+        with pytest.raises(ValueError, match="already replayed"):
+            ad.backward(loss)
+
+
+def test_backward_rejects_non_tensor():
+    with pytest.raises(TypeError, match="Tensor"):
+        ad.backward(1.0)
+
+
+def test_stack_hands_repeated_rows_gradients_in_row_order():
+    rng = np.random.default_rng(2)
+    a = ad.parameter(rng.uniform(-1, 1, (3, 4)))
+    coeff = rng.uniform(-1, 1, (3, 4, 4)) * 10.0 ** rng.uniform(-8, 8, (1, 1, 4))
+    with ad.Tape():
+        ad.backward(ad.sum_over(ad.mul(ad.stack([a, a, a, a], axis=2), ad.tensor(coeff))))
+    expected = coeff[..., 0].copy()
+    for i in (1, 2, 3):
+        expected += coeff[..., i]
+    np.testing.assert_array_equal(a.grad, expected)
+
+
 def test_elementwise_trivia():
     assert ad.tanh(ad.tensor(0.0)).item() == 0.0
     assert ad.sigmoid(ad.tensor(0.0)).item() == 0.5
@@ -91,6 +117,8 @@ def test_shape_mismatch_names_both_shapes():
         ad.add(ad.tensor([1.0, 2.0]), ad.tensor([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError, match=r"\(2, 2\).*\(3,\)"):
         ad.matmul(ad.tensor(np.eye(2)), ad.tensor([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match=r"concat: .*\(1, 2\).*\(1, 3\)"):  # rows with the new axis
+        ad.stack([ad.tensor([1.0, 2.0]), ad.tensor([1.0, 2.0, 3.0])])
 
 
 def test_non_finite_result_rejected():
@@ -195,6 +223,9 @@ def test_each_op_matches_finite_differences(seed):
     cases = {
         "add": lambda: ad.sum_over(ad.mul(ad.add(a, b), ad.tensor(coeff))),
         "sub": lambda: ad.sum_over(ad.mul(ad.sub(a, b), ad.tensor(coeff))),
+        "scale": lambda: ad.sum_over(ad.mul(ad.scale(a, -1.7), ad.tensor(coeff))),
+        "affine": lambda: ad.sum_over(ad.mul(ad.affine(a, 0.6, -2.0), ad.tensor(coeff))),
+        "mean": lambda: ad.mean(ad.mul(ad.tanh(a), ad.tensor(coeff))),
         "mul": lambda: ad.sum_over(ad.mul(ad.mul(a, b), ad.tensor(coeff))),
         "tanh": lambda: ad.sum_over(ad.mul(ad.tanh(a), ad.tensor(coeff))),
         "sigmoid": lambda: ad.sum_over(ad.mul(ad.sigmoid(a), ad.tensor(coeff))),

@@ -3,7 +3,7 @@ import pytest
 
 from catnet import autodiff as ad
 from catnet.backbone import RecurrentParams, run_sequence, step_mask
-from conftest import central_difference, max_relative_error
+from gradcheck import central_difference, max_relative_error
 
 
 def zero_params(kind, input_dim=3, hidden_dim=3):

@@ -105,7 +105,8 @@ class TestValidation:
     @pytest.mark.parametrize("code, message", [
         ("1.5", r"cohort\.jsonl:2: .*p1: non-integer med code 1\.5"),
         ("Infinity", r"cohort\.jsonl:2: malformed record: .*infinity"),
-    ], ids=["fraction", "infinity"])
+        ("true", r"cohort\.jsonl:2: malformed record: patient p1: non-integer med code True"),
+    ], ids=["fraction", "infinity", "bool"])
     def test_non_integer_code_rejected_on_load(self, tmp_path, vocab, code, message):
         data = tmp_path / "cohort.jsonl"
         save_dataset(make_cohort(3), vocab, str(data))
@@ -114,6 +115,31 @@ class TestValidation:
         data.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=message):
             load_dataset(str(data))
+
+    @pytest.mark.parametrize("label, shown", [('"0"', "'0'"), ("2", "2"), ("-1", "-1"),
+                                              ("null", "None")],
+                             ids=["string", "two", "minus-one", "null"])
+    def test_malformed_mortality_rejected_on_load(self, tmp_path, vocab, label, shown):
+        records = make_cohort(3)
+        records[1].mortality = False
+        data = tmp_path / "cohort.jsonl"
+        save_dataset(records, vocab, str(data))
+        lines = data.read_text().splitlines()
+        lines[1] = lines[1].replace('"mortality":0', f'"mortality":{label}', 1)
+        data.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"cohort\.jsonl:2: malformed record: patient p1: "
+                                             r"mortality must be 0, 1, true or false, got " + shown):
+            load_dataset(str(data))
+
+    def test_boolean_mortality_loads(self, tmp_path, vocab):
+        data = tmp_path / "cohort.jsonl"
+        save_dataset(make_cohort(2), vocab, str(data))
+        lines = data.read_text().splitlines()
+        lines = [line.replace('"mortality":0', '"mortality":true')
+                 .replace('"mortality":1', '"mortality":false') for line in lines]
+        data.write_text("\n".join(lines) + "\n")
+        before = [r.mortality for r in make_cohort(2)]
+        assert [r.mortality for r in load_dataset(str(data))[0]] == [not m for m in before]
 
 
 class TestSplit:

@@ -49,3 +49,16 @@ def test_planted_rules_match_closed_form_rates(cohort):
         assert variance > 0.0
         z = (observed - expected) / math.sqrt(variance)
         assert abs(z) < 4.0, f"{rule}: z = {z:.2f}"
+
+
+def test_bare_config_is_the_standard_cohort():
+    assert GenConfig() == GenConfig.default()
+
+
+def test_wrong_length_prevalence_rejected_at_construction():
+    standard = GenConfig().base_prevalence
+    with pytest.raises(ValueError, match="med: 11 prevalences for 12 codes"):
+        GenConfig(base_prevalence=dict(standard, med=[0.1] * 11))
+    without_lab = {etype: p for etype, p in standard.items() if etype != "lab"}
+    with pytest.raises(ValueError, match="lab: 0 prevalences for 8 codes"):
+        GenConfig(base_prevalence=without_lab)

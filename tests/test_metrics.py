@@ -115,6 +115,19 @@ class TestTopK:
         assert value == 0.0  # the scored instance's true code is not in top-1
 
 
+class TestEvaluatePredictions:
+    def test_values_equal_the_individual_metrics(self):
+        scores = np.array([[0.9, 0.1, 0.8], [0.3, 0.6, 0.2], [0.5, 0.4, 0.7], [0.2, 0.3, 0.1]])
+        labels = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        out = evaluate_predictions(scores, labels, ks=(1, 2))
+        assert list(out) == ["auc", "aupr", "recall@1", "recall@2", "skipped_instances"]
+        assert out["auc"] == auc(scores, labels)
+        assert out["aupr"] == average_precision(scores, labels)
+        for k in (1, 2):
+            assert out[f"recall@{k}"] == topk_recall(scores, labels, k)[0]
+        assert out["skipped_instances"] == 1
+
+
 class TestAgainstBruteForce:
     def test_two_hundred_random_cases_including_ties(self):
         rng = np.random.default_rng(99)

@@ -4,7 +4,7 @@ import pytest
 from catnet import autodiff as ad
 from catnet.cohort import PatientRecord, TaskSpec, Visit, VocabSpec
 from catnet.network import CatnetModel, ModelConfig, build_instances, resolve_drops
-from conftest import central_difference, max_relative_error
+from gradcheck import central_difference, max_relative_error
 
 
 def tiny_vocab():

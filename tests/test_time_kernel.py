@@ -3,7 +3,7 @@ import pytest
 
 from catnet import autodiff as ad
 from catnet.time_kernel import TimeKernelParams, time_embed
-from conftest import central_difference, max_relative_error
+from gradcheck import central_difference, max_relative_error
 
 
 def scalar_kernel(w1=1.0, b1=0.0, w2=1.0, b2=0.0):
