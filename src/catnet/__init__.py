@@ -8,5 +8,3 @@ __all__ = [
     "Visit",
     "VocabSpec",
 ]
-
-__version__ = "0.1.0"

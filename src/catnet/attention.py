@@ -36,8 +36,7 @@ import numpy as np
 from catnet import autodiff as ad
 from catnet.cohort import EVENT_TYPES, VocabSpec
 
-TIME_TOKEN = "time"
-_TOKEN_TYPES = EVENT_TYPES + (TIME_TOKEN,)  # token type ids index this; padding is -1
+_TOKEN_TYPES = EVENT_TYPES + ("time",)  # token type ids index this; padding is -1
 _TIME_ID = len(EVENT_TYPES)
 
 
@@ -115,7 +114,7 @@ def build_token_set(visits, embeddings: CodeEmbeddings, interval_tokens: ad.Tens
 
 @dataclass
 class AttentionRecord:
-    """Attention weights of one visit with query/key identities, for export."""
+    """Attention weights of one visit with the (event type, code) of each query and key."""
 
     weights: np.ndarray
     query_meta: list
@@ -218,51 +217,3 @@ def raw_slot_layout(tokens: TokenBatch, mode: str, primary: str, vocab: VocabSpe
     slots, n_slots = _token_slots(tokens, mode, primary, vocab)
     return _place_in_slots(tokens.values, slots, n_slots)
 
-
-# ---------------------------------------------------------------------------
-# weight export
-# ---------------------------------------------------------------------------
-
-
-def export_weights(record: AttentionRecord, vocab: VocabSpec,
-                   query_type: str = None, key_type: str = None, top: int = None):
-    """Rows of (query name, key name, weight), weight-descending per query."""
-    rows = []
-    for qrow, (qt, qc) in zip(record.weights, record.query_meta):
-        if query_type is not None and qt != query_type:
-            continue
-        entries = [(float(w), kt, kc) for w, (kt, kc) in zip(qrow, record.key_meta)
-                   if key_type is None or kt == key_type]
-        entries.sort(key=lambda e: (-e[0], e[1], e[2]))
-        if top is not None:
-            entries = entries[:top]
-        qname = f"{TIME_TOKEN}:0" if qt == TIME_TOKEN else vocab.code_name(qt, qc)
-        for w, kt, kc in entries:
-            kname = f"{TIME_TOKEN}:0" if kt == TIME_TOKEN else vocab.code_name(kt, kc)
-            rows.append((qname, kname, w))
-    return rows
-
-
-class AttentionAverager:
-    """Mean attention weight per (query code, key code) pair over many visits."""
-
-    def __init__(self):
-        self._sums = {}
-        self._counts = {}
-
-    def add(self, record: AttentionRecord):
-        for qrow, qmeta in zip(record.weights, record.query_meta):
-            for w, kmeta in zip(qrow, record.key_meta):
-                pair = (qmeta, kmeta)
-                self._sums[pair] = self._sums.get(pair, 0.0) + float(w)
-                self._counts[pair] = self._counts.get(pair, 0) + 1
-
-    def mean_weights(self, query_type: str = None, key_type: str = None) -> dict:
-        out = {}
-        for (qmeta, kmeta), total in self._sums.items():
-            if query_type is not None and qmeta[0] != query_type:
-                continue
-            if key_type is not None and kmeta[0] != key_type:
-                continue
-            out[(qmeta, kmeta)] = total / self._counts[(qmeta, kmeta)]
-        return out

@@ -21,7 +21,10 @@ gradient rule of their own: ``scale``, ``affine`` and ``sub`` from ``mul`` and
 ``add`` with constants, ``matmul`` and ``linear`` from ``einsum`` (and
 ``add``), ``stack`` from ``reshape`` and ``concat``, ``mean`` from
 ``sum_over`` and ``scale``.  An op written elsewhere (the fused recurrence in
-:mod:`catnet.backbone`) uses the same four helpers.
+:mod:`catnet.backbone`) uses the same four helpers.  Nothing in the package
+calls ``sub``, ``matmul``, ``stack`` or ``mean``; they stay only because the
+benchmark's op list (``OPS`` in ``bench/spans.py``) counts them by name, and
+they go together with that list.
 
 Forward contractions run through ``np.einsum`` without path optimisation, so
 each output entry is one dot product over the contracted axis, computed the

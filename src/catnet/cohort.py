@@ -8,8 +8,10 @@ loading and are safe to share across threads for reading.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,13 +22,12 @@ MODES = ("task-aware", "task-unaware")
 
 @dataclass
 class VocabSpec:
-    """Code-space sizes per event type, with optional display names."""
+    """Code-space sizes per event type."""
 
     med: int
     diag: int
     lab: int
     proc: int
-    names: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for etype in EVENT_TYPES:
@@ -41,22 +42,12 @@ class VocabSpec:
     def total(self) -> int:
         return sum(self.size(t) for t in EVENT_TYPES)
 
-    def code_name(self, event_type: str, index: int) -> str:
-        named = self.names.get(event_type)
-        if named and 0 <= index < len(named) and named[index]:
-            return named[index]
-        return f"{event_type}:{index}"
-
     def to_dict(self) -> dict:
-        d = {t: self.size(t) for t in EVENT_TYPES}
-        if self.names:
-            d["names"] = self.names
-        return d
+        return {t: self.size(t) for t in EVENT_TYPES}
 
     @classmethod
     def from_dict(cls, d: dict) -> "VocabSpec":
-        return cls(med=d["med"], diag=d["diag"], lab=d["lab"], proc=d["proc"],
-                   names=d.get("names", {}))
+        return cls(med=d["med"], diag=d["diag"], lab=d["lab"], proc=d["proc"])
 
 
 @dataclass
@@ -72,7 +63,7 @@ class Visit:
         for etype in EVENT_TYPES:
             lst = self.codes.get(etype, [])
             for c in lst:
-                if isinstance(c, bool) or int(c) != c:
+                if not _is_code(c):
                     raise ValueError(f"patient {owner}: non-integer {etype} code {c!r}")
             if list(lst) != sorted(set(int(c) for c in lst)):
                 raise ValueError(
@@ -143,9 +134,19 @@ class PatientRecord:
                    sex=str(demo["sex"]), visits=visits, mortality=bool(mortality))
 
 
+def _is_code(c) -> bool:
+    """True for a finite integral number that is not a bool.
+
+    A plain int, which is every code JSON or the generator yields, passes the
+    first, cheap test; the abstract ``numbers.Real`` check is several times slower.
+    """
+    return type(c) is int or (isinstance(c, numbers.Real) and not isinstance(c, bool)
+                              and math.isfinite(c) and int(c) == c)
+
+
 def _as_code(c):
-    """``c`` as an int if it is integral and not a bool; else unchanged, for ``validate`` to reject."""
-    return c if isinstance(c, bool) or int(c) != c else int(c)
+    """``c`` as an int if it is a code; else unchanged, for ``Visit.validate`` to reject."""
+    return int(c) if _is_code(c) else c
 
 
 @dataclass

@@ -2,9 +2,11 @@
 
 Codes are sampled per visit from a logistic model: each code's logit is its
 base-prevalence logit plus, for every planted rule whose trigger code appeared
-at the previous visit, ``ln(boost) * 2**(-gap/halflife)``.  The exponential
-decay makes both the cross-event dependency and the visit gap load-bearing for
-any model trying to predict the effect codes.
+at the previous visit, ``ln(boost) * 2**(-gap/halflife)``.  At the default
+settings the gap moves that boost only a little: gaps run about 9 to 25 days
+(5th to 95th percentile) against a 30-day half-life, so decay keeps between
+81 % and 57 % of the boost's log-odds.  The trigger, not the gap, is what a
+model must find to predict the effect codes.
 
 Generation is a pure function of (config, seed): patient ``i`` draws from its
 own Philox counter-based stream keyed by (seed, i), so patients can be

@@ -1,4 +1,4 @@
-"""Ranking metrics and report containers.
+"""Ranking metrics.
 
 All metrics are micro-averaged: every (instance, code) score/label pair is
 pooled before computing AUC or average precision.  Ties are handled
@@ -8,10 +8,6 @@ results are deterministic.
 """
 
 from __future__ import annotations
-
-import hashlib
-import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,77 +98,3 @@ def evaluate_predictions(scores, labels, ks=TOPK_GRID) -> dict:
     out["skipped_instances"] = skipped
     return out
 
-
-def config_hash(payload: dict) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# report containers
-# ---------------------------------------------------------------------------
-
-CSV_HEADER = "variant,seed,auc,aupr," + ",".join(f"recall@{k}" for k in TOPK_GRID)
-
-
-@dataclass
-class RunMetrics:
-    """Metrics of a single (variant, seed) run."""
-
-    variant: str
-    seed: int
-    values: dict
-
-    def csv_row(self) -> str:
-        cells = [self.variant, str(self.seed), repr(self.values["auc"]),
-                 repr(self.values["aupr"])]
-        cells += [repr(self.values[f"recall@{k}"]) for k in TOPK_GRID]
-        return ",".join(cells)
-
-
-@dataclass
-class MetricsReport:
-    """Per-seed runs of one variant with mean and standard deviation."""
-
-    variant: str
-    runs: list
-    config_hash: str = ""
-    seeds: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.seeds:
-            self.seeds = [r.seed for r in self.runs]
-        for name in ("auc", "aupr"):
-            for r in self.runs:
-                if not 0.0 <= r.values[name] <= 1.0:
-                    raise ValueError(f"{name} outside [0, 1] in run seed {r.seed}")
-
-    def mean(self, name: str) -> float:
-        return float(np.mean([r.values[name] for r in self.runs]))
-
-    def std(self, name: str) -> float:
-        return float(np.std([r.values[name] for r in self.runs]))
-
-    def summary(self) -> dict:
-        names = ["auc", "aupr"] + [f"recall@{k}" for k in TOPK_GRID]
-        return {
-            "variant": self.variant,
-            "seeds": list(self.seeds),
-            "config_hash": self.config_hash,
-            "metrics": {name: {"mean": self.mean(name), "std": self.std(name)}
-                        for name in names},
-        }
-
-
-def write_metrics_csv(path: str, runs):
-    with open(path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for run in runs:
-            fh.write(run.csv_row() + "\n")
-
-
-def write_summary_json(path: str, reports):
-    payload = [r.summary() for r in reports]
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -149,13 +149,14 @@ class CatnetModel:
         return dict(sorted(named.items()))
 
     def forward_batch(self, instances, train: bool = False, dropout: float = 0.0,
-                      rng: np.random.Generator = None, collect_attention: bool = False):
-        """Probabilities ``(B, n_targets)`` for a batch of instances.
+                      rng: np.random.Generator = None):
+        """Probabilities ``(B, n_targets)`` for a batch of instances, and their attention.
 
-        In training with ``dropout > 0``, one ``(V, input_width)`` inverted
-        dropout mask is drawn from ``rng`` over all visit vectors.  With
-        ``collect_attention`` it returns ``(probs, records)``: one attention
-        record per visit, patient after patient (none when attention is ablated).
+        Returns ``(probs, attention)``: ``attention`` is the
+        :class:`~catnet.attention.BatchAttention` of every visit, patient after
+        patient, or None when cross-event attention is ablated.  In training
+        with ``dropout > 0``, one ``(V, input_width)`` inverted dropout mask is
+        drawn from ``rng`` over all visit vectors.
         """
         cfg = self.config
         drop_visits = train and dropout > 0.0
@@ -173,13 +174,10 @@ class CatnetModel:
                                self.constant_interval)
         visible = tuple(t for t in EVENT_TYPES if t not in cfg.dropped_types())
         tokens = build_token_set(visits, self.embeddings, intervals, visible)
-        records = []
         if "cross" in cfg.drops:
-            x = raw_slot_layout(tokens, cfg.mode, cfg.task, self.vocab)
+            x, attention = raw_slot_layout(tokens, cfg.mode, cfg.task, self.vocab), None
         else:
             x, attention = attend(tokens, cfg.mode, primary=cfg.task, vocab=self.vocab)
-            if collect_attention:
-                records = attention.records()
         if drop_visits:
             keep = 1.0 - dropout
             x = ad.mul(x, ad.tensor((rng.random(x.shape) < keep) / keep))
@@ -196,28 +194,21 @@ class CatnetModel:
             gaps[mask] = np.concatenate([inst.delta_global for inst in instances]) / cfg.time_scale
             gated, _ = global_time_gate(states, gaps, lengths, self.decay_kernel)
         demo = np.stack([inst.demo for inst in instances])
-        probs = fuse_and_predict(contexts, gated, demo, self.head)
-        return (probs, records) if collect_attention else probs
+        return fuse_and_predict(contexts, gated, demo, self.head), attention
 
-    def forward_instance(self, instance: TaskInstance, train: bool = False,
-                         dropout: float = 0.0, rng: np.random.Generator = None,
-                         collect_attention: bool = False):
-        """Probabilities ``(n_targets,)`` for one instance: a batch of one."""
-        out = self.forward_batch([instance], train=train, dropout=dropout, rng=rng,
-                                 collect_attention=collect_attention)
-        if collect_attention:
-            return ad.take_row(out[0], 0), out[1]
-        return ad.take_row(out, 0)
+    def forward_instance(self, instance: TaskInstance):
+        """Evaluation-mode probabilities ``(n_targets,)`` for one instance: a batch of one."""
+        return ad.take_row(self.forward_batch([instance])[0], 0)
 
     def batch_loss(self, instances, train: bool = False, dropout: float = 0.0,
                    rng: np.random.Generator = None) -> ad.Tensor:
         """Mean per-instance binary cross-entropy over a batch."""
-        probs = self.forward_batch(instances, train=train, dropout=dropout, rng=rng)
+        probs, _ = self.forward_batch(instances, train=train, dropout=dropout, rng=rng)
         return ad.binary_cross_entropy(probs, np.stack([inst.target for inst in instances]))
 
     def predict(self, instances) -> np.ndarray:
         """Evaluation-mode probabilities, one row per instance."""
-        return self.forward_batch(instances).data
+        return self.forward_batch(instances)[0].data
 
     def state_arrays(self) -> dict:
         return {name: t.data.copy() for name, t in self.parameters().items()}

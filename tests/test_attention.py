@@ -1,15 +1,12 @@
 import math
 
 import numpy as np
-import pytest
 
 from catnet import autodiff as ad
 from catnet.attention import (
-    AttentionAverager,
     CodeEmbeddings,
     attend as attend_batch,
     build_token_set as build_token_batch,
-    export_weights,
     output_width,
     raw_slot_layout as raw_slot_batch,
 )
@@ -268,48 +265,3 @@ def test_raw_slot_layout_matches_attend_layout():
     np.testing.assert_array_equal(slots[0], 0.0)
     np.testing.assert_array_equal(slots[3], interval_of(tokens))
 
-
-class TestExport:
-    def make_record(self):
-        vocab = VocabSpec(med=3, diag=10, lab=0, proc=0)
-        rng = np.random.default_rng(8)
-        codes = {"med": [0, 1, 2], "diag": list(range(10)), "lab": [], "proc": []}
-        embeddings, tokens = make_case(vocab, codes, seed=8)
-        _, rec = attend(tokens, "task-unaware", vocab=vocab)
-        return rec, vocab
-
-    def test_each_query_row_sums_to_one(self):
-        rec, vocab = self.make_record()
-        rows = export_weights(rec, vocab)
-        per_query = {}
-        for qname, _, w in rows:
-            per_query[qname] = per_query.get(qname, 0.0) + w
-        assert all(abs(s - 1.0) <= 1e-9 for s in per_query.values())
-
-    def test_top1_is_argmax(self):
-        rec, vocab = self.make_record()
-        rows = export_weights(rec, vocab, top=1)
-        for (qname, kname, w), qrow in zip(rows, rec.weights):
-            assert w == pytest.approx(qrow.max(), abs=0)
-
-    def test_med_by_diag_filter_shapes_like_case_study(self):
-        rec, vocab = self.make_record()
-        rows = export_weights(rec, vocab, query_type="med", key_type="diag", top=10)
-        queries = {q for q, _, _ in rows}
-        assert len(queries) == 3
-        assert len(rows) == 30
-        for q in queries:
-            weights = [w for qq, _, w in rows if qq == q]
-            assert weights == sorted(weights, reverse=True)
-
-    def test_averager_means(self):
-        rec, vocab = self.make_record()
-        avg = AttentionAverager()
-        avg.add(rec)
-        avg.add(rec)
-        means = avg.mean_weights(query_type="med", key_type="diag")
-        assert len(means) == 30
-        direct = {(q, k): w for q, row in zip(rec.query_meta, rec.weights)
-                  for k, w in zip(rec.key_meta, row)}
-        for (q, k), m in means.items():
-            assert m == pytest.approx(direct[(q, k)], abs=0)

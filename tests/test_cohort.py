@@ -104,9 +104,13 @@ class TestValidation:
 
     @pytest.mark.parametrize("code, message", [
         ("1.5", r"cohort\.jsonl:2: .*p1: non-integer med code 1\.5"),
-        ("Infinity", r"cohort\.jsonl:2: malformed record: .*infinity"),
+        ("Infinity", r"cohort\.jsonl:2: malformed record: patient p1: non-integer med code inf"),
         ("true", r"cohort\.jsonl:2: malformed record: patient p1: non-integer med code True"),
-    ], ids=["fraction", "infinity", "bool"])
+        ("null", r"cohort\.jsonl:2: malformed record: patient p1: non-integer med code None"),
+        ("[1]", r"cohort\.jsonl:2: malformed record: patient p1: non-integer med code \[1\]"),
+        ('"x"', r"cohort\.jsonl:2: malformed record: patient p1: non-integer med code 'x'"),
+        ("NaN", r"cohort\.jsonl:2: malformed record: patient p1: non-integer med code nan"),
+    ], ids=["fraction", "infinity", "bool", "null", "list", "string", "nan"])
     def test_non_integer_code_rejected_on_load(self, tmp_path, vocab, code, message):
         data = tmp_path / "cohort.jsonl"
         save_dataset(make_cohort(3), vocab, str(data))

@@ -1,17 +1,7 @@
 import numpy as np
 import pytest
 
-from catnet.metrics import (
-    CSV_HEADER,
-    MetricsReport,
-    RunMetrics,
-    auc,
-    average_precision,
-    config_hash,
-    evaluate_predictions,
-    topk_recall,
-    write_metrics_csv,
-)
+from catnet.metrics import auc, average_precision, evaluate_predictions, topk_recall
 
 
 def auc_brute(scores, labels):
@@ -180,39 +170,3 @@ class TestInvariances:
         by_list = auc([p[0] for p in flat_pairs], [p[1] for p in flat_pairs])
         assert by_matrix == by_list
 
-
-class TestReporting:
-    def make_runs(self):
-        values = {"auc": 0.9, "aupr": 0.5}
-        values.update({f"recall@{k}": 0.7 for k in (10, 20, 30, 40, 50)})
-        return [RunMetrics("full", seed, dict(values)) for seed in (0, 1, 2)]
-
-    def test_csv_header_exact(self, tmp_path):
-        path = tmp_path / "metrics.csv"
-        write_metrics_csv(str(path), self.make_runs())
-        lines = path.read_text().splitlines()
-        assert lines[0] == ("variant,seed,auc,aupr,"
-                            "recall@10,recall@20,recall@30,recall@40,recall@50")
-        assert lines[0] == CSV_HEADER
-        assert len(lines) == 4
-
-    def test_report_mean_std(self):
-        runs = self.make_runs()
-        runs[1].values["auc"] = 0.8
-        report = MetricsReport("full", runs, config_hash="abc")
-        assert report.mean("auc") == pytest.approx((0.9 + 0.8 + 0.9) / 3)
-        assert report.std("auc") >= 0.0
-        summary = report.summary()
-        assert summary["variant"] == "full"
-        assert summary["metrics"]["auc"]["mean"] == report.mean("auc")
-
-    def test_out_of_range_metric_rejected(self):
-        runs = self.make_runs()
-        runs[0].values["auc"] = 1.5
-        with pytest.raises(ValueError, match="outside"):
-            MetricsReport("full", runs)
-
-    def test_config_hash_stable(self):
-        a = config_hash({"x": 1, "y": [1, 2]})
-        b = config_hash({"y": [1, 2], "x": 1})
-        assert a == b and len(a) == 64
