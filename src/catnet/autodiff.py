@@ -14,24 +14,30 @@ Each primitive op goes through :func:`record`, which checks its result with
 and puts it on the active tape with a backward function that hands each input
 its gradient through :func:`accumulate`.  The primitives, each with its own
 backward, are ``add``, ``mul``, ``tanh``, ``sigmoid`` (values by
-:func:`logistic`), ``einsum``, ``concat``, ``reshape``, ``sum_over``,
-``take_row``, ``stable_softmax``, ``weighted_row_sum`` and
+:func:`logistic`), ``linear``, ``einsum``, ``concat``, ``reshape``,
+``sum_over``, ``take_row``, ``stable_softmax``, ``weighted_row_sum`` and
 ``binary_cross_entropy``.  The other ops are built from them and have no
 gradient rule of their own: ``scale``, ``affine`` and ``sub`` from ``mul`` and
-``add`` with constants, ``matmul`` and ``linear`` from ``einsum`` (and
-``add``), ``stack`` from ``reshape`` and ``concat``, ``mean`` from
-``sum_over`` and ``scale``.  An op written elsewhere (the fused recurrence in
-:mod:`catnet.backbone`) uses the same four helpers.  Nothing in the package
-calls ``sub``, ``matmul``, ``stack`` or ``mean``; they stay only because the
-benchmark's op list (``OPS`` in ``bench/spans.py``) counts them by name, and
-they go together with that list.
+``add`` with constants, ``matmul`` from ``einsum``, ``stack`` from ``reshape``
+and ``concat``, ``mean`` from ``sum_over`` and ``scale``.  An op written
+elsewhere (the fused recurrence in :mod:`catnet.backbone`) uses the same
+helpers.  Nothing in the package calls ``sub``, ``matmul``, ``stack`` or
+``mean``; they stay only because the benchmark's op list (``OPS`` in
+``bench/spans.py``) counts them by name, and they go together with that list.
 
-Forward contractions run through ``np.einsum`` without path optimisation, so
-each output entry is one dot product over the contracted axis, computed the
-same way whatever the number of rows; a BLAS product is not row-stable in
-that sense.  Sums over an axis that padding fills with zeros are taken in a
-fixed sequential order (:func:`sum_over`, :func:`stable_softmax`,
-:func:`weighted_row_sum`), so padding never changes a result bit.
+Row-wise products run on BLAS through :func:`row_product`, which multiplies
+blocks of exactly ``ROW_BLOCK`` zero-padded rows, so a row's bits depend
+neither on its neighbours nor on its position (a plain ``x @ w`` sends a lone
+row to another kernel).  ``linear`` takes its values and input gradient from
+it, and its weight gradient from :func:`outer_sum`, which drops zero-gradient
+rows first: a BLAS sum over rows groups its terms by position, so padding
+rows would move the grouping.  The batched attention contractions stay on
+``np.einsum`` without path optimisation (one dot product in index order per
+output entry), because their padding grows the query and key axes of each
+product, and a BLAS call of another shape may take another kernel.  Sums over
+an axis that padding fills with zeros are taken in a fixed sequential order
+(:func:`sum_over`, :func:`stable_softmax`, :func:`weighted_row_sum`), so
+padding never changes a result bit.
 
 Tensors are immutable after creation except for their ``grad`` buffer.  A tape
 and the tensors recorded on it belong to a single thread; independent tapes on
@@ -312,10 +318,36 @@ def matmul(a, b):
     return einsum(spec, a, b)
 
 
+ROW_BLOCK = 8
+
+
+def row_product(x, w):
+    """``x @ w`` for ``x`` (..., I), ``w`` (I, O), as a stack of ``ROW_BLOCK``-row products."""
+    rows = x.reshape(-1, x.shape[-1])
+    n = rows.shape[0]
+    blocks = np.zeros((-(-n // ROW_BLOCK), ROW_BLOCK, rows.shape[1]))
+    blocks.reshape(-1, rows.shape[1])[:n] = rows
+    return np.matmul(blocks, w).reshape(-1, w.shape[1])[:n].reshape(x.shape[:-1] + w.shape[1:])
+
+
+def outer_sum(g, x):
+    """``g.T @ x`` for ``g`` (n, O), ``x`` (n, I), skipping the rows where ``g`` is all zero."""
+    keep = np.flatnonzero(g.any(axis=1))
+    return g[keep].T @ x[keep]
+
+
 def linear(x, w, b=None):
     """``x @ w.T (+ b)`` over any leading axes of ``x``; ``w`` is (out, in)."""
-    lead = "abcdefgh"[: x.data.ndim - 1]
-    y = einsum(f"{lead}i,oi->{lead}o", x, w)
+    if w.data.ndim != 2 or x.data.shape[-1:] != w.data.shape[1:]:
+        raise ValueError(f"linear: shape mismatch {x.data.shape} vs {w.data.shape}")
+
+    def bwd(g):
+        if x.requires_grad:
+            accumulate(x, row_product(g, w.data))
+        if w.requires_grad:
+            accumulate(w, outer_sum(g.reshape(-1, g.shape[-1]), x.data.reshape(-1, x.shape[-1])))
+
+    y = record("linear", row_product(x.data, w.data.T), (x, w), bwd)
     return y if b is None else add(y, b)
 
 
@@ -382,8 +414,9 @@ def mean(t):
 def take_row(table, index):
     """Rows of ``table`` along its first axis, by an int or an int array.
 
-    The result has shape ``index.shape + table.shape[1:]``; backward
-    scatter-adds into the table, once per use of a row.
+    The result has shape ``index.shape + table.shape[1:]``.  Backward sums
+    the uses of each row in use order, as ``np.add.at`` would, but from zero:
+    onto a gradient the table already holds, the uses are summed first.
     """
     if table.data.ndim < 2:
         raise ValueError(f"take_row: expected a table of rows, got shape {table.data.shape}")
@@ -391,9 +424,10 @@ def take_row(table, index):
 
     def bwd(g):
         if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, index, g)
+            width = table.data[0].size
+            cells = (np.asarray(index) % len(table.data))[..., None] * width + np.arange(width)
+            accumulate(table, np.bincount(cells.ravel(), weights=g.ravel(),
+                                          minlength=table.data.size).reshape(table.data.shape))
 
     return record("take_row", np.take(table.data, index, axis=0), (table,), bwd)
 

@@ -7,9 +7,10 @@ belong to each.  Each gate's input projection runs once over all V rows and
 is gathered into a time-major ``(T, B, H)`` array, T = max(lengths).  All T
 steps on ``(B, H)`` states are then one tape op in numpy: the forward
 evaluates the same expressions, in the same order, as per-step autodiff ops
-would, with ``ad.logistic`` as the sigmoid that ``ad.sigmoid`` applies;
-the backward is hand-written backpropagation through time over the gate
-activations the forward kept (only while a tape records).  Every gate
+would, with ``ad.logistic`` as ``ad.sigmoid``'s values and the state maps as
+``ad.linear``'s products (``ad.row_product``, and ``ad.outer_sum`` for their
+gradients); the backward is hand-written backpropagation through time over
+the gate activations the forward kept (only while a tape records).  Every gate
 pre-activation goes through ``ad.check_finite``, the check every tape op
 makes, so the error names the op and the shapes of its inputs.  The
 ``(B, T)`` step mask zeroes every state past a sequence's length, so padded
@@ -94,7 +95,7 @@ def _recurrence(kind, projected, state_maps, mask):
     states = np.empty((n_seq, n_steps, hidden))
 
     def gate(k, t, h, act=ad.logistic):
-        return act(np.add(x[k][t], np.einsum("ai,oi->ao", h, u[k]), out=pre[t, k]))
+        return act(np.add(x[k][t], ad.row_product(h, u[k].T), out=pre[t, k]))
 
     h = c = np.zeros((n_seq, hidden))
     for t in range(n_steps):
@@ -129,10 +130,10 @@ def _recurrence(kind, projected, state_maps, mask):
                 z, r, cand = acts
                 dx[0, t] = (dh * cand - dh * h_prev) * z * (1.0 - z)
                 dx[2, t] = dh * z * (1.0 - cand * cand)
-                d_rh = np.einsum("ao,oi->ai", dx[2, t], u[2])
+                d_rh = ad.row_product(dx[2, t], u[2])
                 dx[1, t] = d_rh * h_prev * r * (1.0 - r)
                 carry = (dh * (-1.0 * z + 1.0), d_rh * r) + tuple(
-                    np.einsum("ao,oi->ai", dx[k, t], u[k]) for k in (1, 0))
+                    ad.row_product(dx[k, t], u[k]) for k in (1, 0))
                 sources = (h_prev, h_prev, r * h_prev)
             else:
                 i, f, o, g, tanh_c = acts
@@ -142,10 +143,10 @@ def _recurrence(kind, projected, state_maps, mask):
                 dx[2, t] = dh * tanh_c * o * (1.0 - o)
                 dx[3, t] = dc * i * (1.0 - g * g)
                 dc = dc * f
-                carry = tuple(np.einsum("ao,oi->ai", dx[k, t], u[k]) for k in (3, 2, 1, 0))
+                carry = tuple(ad.row_product(dx[k, t], u[k]) for k in (3, 2, 1, 0))
                 sources = (h_prev,) * 4
             for k, source in enumerate(sources):
-                du[k] += np.einsum("ai,ao->oi", source, dx[k, t])
+                du[k] += ad.outer_sum(dx[k, t], source)
         for k, (p, m) in enumerate(zip(projected, state_maps)):
             ad.accumulate(p, dx[k])
             ad.accumulate(m, du[k])

@@ -126,22 +126,29 @@ class PatientRecord:
         if type(mortality) not in (bool, int) or mortality not in (0, 1):
             raise ValueError(f"patient {pid}: mortality must be 0, 1, true or false, "
                              f"got {mortality!r}")
-        visits = [Visit(time_days=float(v["time_days"]),
+        visits = [Visit(time_days=_as_number(v["time_days"], pid, "time_days"),
                         codes={t: [_as_code(c) for c in v["codes"].get(t, [])]
                                for t in EVENT_TYPES})
                   for v in d["visits"]]
-        return cls(patient_id=pid, age_years=float(demo["age_years"]),
+        return cls(patient_id=pid, age_years=_as_number(demo["age_years"], pid, "age_years"),
                    sex=str(demo["sex"]), visits=visits, mortality=bool(mortality))
 
 
-def _is_code(c) -> bool:
-    """True for a finite integral number that is not a bool.
+def _is_number(x) -> bool:
+    """True for a real number that is not a bool; plain floats and ints skip the slow ABC check."""
+    return type(x) in (float, int) or (isinstance(x, numbers.Real) and not isinstance(x, bool))
 
-    A plain int, which is every code JSON or the generator yields, passes the
-    first, cheap test; the abstract ``numbers.Real`` check is several times slower.
-    """
-    return type(c) is int or (isinstance(c, numbers.Real) and not isinstance(c, bool)
-                              and math.isfinite(c) and int(c) == c)
+
+def _as_number(x, pid, field) -> float:
+    """``x`` as a float if it is a number; else an error naming the patient and the field."""
+    if not _is_number(x):
+        raise ValueError(f"patient {pid}: {field} must be a number, got {x!r}")
+    return float(x)
+
+
+def _is_code(c) -> bool:
+    """True for a finite integral number that is not a bool."""
+    return type(c) is int or (_is_number(c) and math.isfinite(c) and int(c) == c)
 
 
 def _as_code(c):

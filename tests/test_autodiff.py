@@ -241,6 +241,9 @@ def test_each_op_matches_finite_differences(seed):
         "einsum": lambda: ad.sum_over(ad.mul(ad.einsum("ij,kj->ik", a, b),
                                              ad.tensor(coeff[:, :3]))),
         "linear": lambda: ad.sum_over(ad.mul(ad.linear(a, b), ad.tensor(coeff[:, :3]))),
+        "linear_batched": lambda: ad.sum_over(ad.mul(
+            ad.linear(ad.reshape(ad.concat([a, b], axis=0), (2, 4, 3)), m, v),
+            ad.tensor(np.concatenate([coeff, -coeff[::-1], coeff[:2]]).reshape(2, 4, 4)))),
         "concat_rows": lambda: ad.sum_over(ad.mul(ad.concat([a, b], axis=0),
                                                   ad.tensor(np.vstack([coeff, -coeff])))),
         "stack_reshape": lambda: ad.sum_over(ad.mul(ad.reshape(ad.stack([a, b], axis=1), (3, 8)),
@@ -292,3 +295,54 @@ def test_grad_accumulates_once_per_use():
         y = ad.sum_over(ad.mul(x, x))  # x used twice -> d/dx = 2x
         ad.backward(y)
     np.testing.assert_allclose(x.grad, [4.0], rtol=1e-15)
+
+
+def test_take_row_gradient_equals_add_at_bitwise():
+    rng = np.random.default_rng(8)
+    for index in (np.array([3, 0, 3, 3, 5, 0]), np.array([[1, 4, 1], [4, 4, -1]]), 2):
+        table = ad.parameter(rng.uniform(-1, 1, (6, 5)))
+        shape = np.shape(index) + (5,)
+        g = rng.uniform(-1, 1, shape) * 10.0 ** rng.uniform(-9, 9, shape)
+        with ad.Tape():
+            ad.backward(ad.sum_over(ad.mul(ad.take_row(table, index), ad.tensor(g))))
+        expected = np.zeros((6, 5))
+        np.add.at(expected, index, g)
+        np.testing.assert_array_equal(table.grad, expected)
+
+
+@pytest.mark.parametrize("width", [16, 64, 208, 592])
+def test_row_product_and_linear_rows_are_row_stable(width):
+    rng = np.random.default_rng(width)
+    block = ad.ROW_BLOCK
+    x = rng.uniform(-1, 1, (3 * block + 4, width)) * 10.0 ** rng.uniform(-3, 3, (3 * block + 4, 1))
+    for n_out in (1, 3, 64):
+        w = rng.uniform(-1, 1, (n_out, width))
+        alone = np.stack([ad.row_product(x[i], w.T) for i in range(len(x))])
+        np.testing.assert_array_equal(alone, np.concatenate(
+            [ad.linear(ad.tensor(x[i:i + 1]), ad.tensor(w)).data for i in range(len(x))]))
+        for n in (1, block - 1, block + 1, 3 * block + 1):
+            for start in (0, 3, len(x) - n):
+                rows = x[start:start + n]
+                np.testing.assert_array_equal(ad.row_product(rows, w.T), alone[start:start + n])
+                np.testing.assert_array_equal(ad.linear(ad.tensor(rows), ad.tensor(w)).data,
+                                              alone[start:start + n])
+        batched = ad.linear(ad.tensor(x[:3 * block].reshape(3, block, width)), ad.tensor(w))
+        np.testing.assert_array_equal(batched.data, alone[:3 * block].reshape(3, block, n_out))
+
+
+@pytest.mark.parametrize("n_out", [1, 3, 64])
+def test_linear_weight_gradient_ignores_interleaved_zero_gradient_rows(n_out):
+    rng = np.random.default_rng(n_out)
+    for n_rows, width in ((5, 16), (70, 208), (350, 64), (600, 16)):
+        x = rng.uniform(-1, 1, (n_rows, width))
+        coeff = rng.uniform(-1, 1, (n_rows, n_out))
+        n_zero = int(rng.integers(1, n_rows + 40))
+        at = np.sort(rng.integers(0, n_rows + 1, n_zero))
+        grads = []
+        for rows, g in ((x, coeff), (np.insert(x, at, rng.uniform(-1, 1, (n_zero, width)), axis=0),
+                                     np.insert(coeff, at, 0.0, axis=0))):
+            w = ad.parameter(np.linspace(-1.0, 1.0, n_out * width).reshape(n_out, width))
+            with ad.Tape():
+                ad.backward(ad.sum_over(ad.mul(ad.linear(ad.tensor(rows), w), ad.tensor(g))))
+            grads.append(w.grad)
+        np.testing.assert_array_equal(grads[0], grads[1])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,19 @@ class TestValidation:
         lines[1] = lines[1].replace('"med":[', f'"med":[{code},', 1)
         data.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=message):
+            load_dataset(str(data))
+
+    @pytest.mark.parametrize("value, shown", [("null", "None"), ('"old"', "'old'"),
+                                              ("true", "True")], ids=["null", "string", "bool"])
+    @pytest.mark.parametrize("field", ["time_days", "age_years"])
+    def test_non_number_time_or_age_rejected_on_load(self, tmp_path, vocab, field, value, shown):
+        data = tmp_path / "cohort.jsonl"
+        save_dataset(make_cohort(3), vocab, str(data))
+        lines = data.read_text().splitlines()
+        lines[1] = re.sub(f'"{field}":[0-9.]+', f'"{field}":{value}', lines[1], count=1)
+        data.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"cohort\.jsonl:2: malformed record: patient p1: "
+                                             f"{field} must be a number, got {shown}"):
             load_dataset(str(data))
 
     @pytest.mark.parametrize("label, shown", [('"0"', "'0'"), ("2", "2"), ("-1", "-1"),
