@@ -415,8 +415,8 @@ def take_row(table, index):
     """Rows of ``table`` along its first axis, by an int or an int array.
 
     The result has shape ``index.shape + table.shape[1:]``.  Backward sums
-    the uses of each row in use order, as ``np.add.at`` would, but from zero:
-    onto a gradient the table already holds, the uses are summed first.
+    the uses of each row from zero in use order, like a scatter-add into
+    zeros; onto a gradient the table already holds, the uses are summed first.
     """
     if table.data.ndim < 2:
         raise ValueError(f"take_row: expected a table of rows, got shape {table.data.shape}")
