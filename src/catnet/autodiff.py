@@ -30,14 +30,16 @@ blocks of exactly ``ROW_BLOCK`` zero-padded rows, so a row's bits depend
 neither on its neighbours nor on its position (a plain ``x @ w`` sends a lone
 row to another kernel).  ``linear`` takes its values and input gradient from
 it, and its weight gradient from :func:`outer_sum`, which drops zero-gradient
-rows first: a BLAS sum over rows groups its terms by position, so padding
-rows would move the grouping.  The batched attention contractions stay on
-``np.einsum`` without path optimisation (one dot product in index order per
-output entry), because their padding grows the query and key axes of each
-product, and a BLAS call of another shape may take another kernel.  Sums over
-an axis that padding fills with zeros are taken in a fixed sequential order
-(:func:`sum_over`, :func:`stable_softmax`, :func:`weighted_row_sum`), so
-padding never changes a result bit.
+rows first (a BLAS sum over rows groups its terms by position, so padding
+rows would move the grouping) and multiplies the kept rows as ``row_product``
+blocks as well: OpenBLAS keeps blocks of this size on the calling thread,
+where one large product would wake worker threads.  The batched attention
+contractions stay on ``np.einsum`` without path optimisation (one dot product
+in index order per output entry), because their padding grows the query and
+key axes of each product, and a BLAS call of another shape may take another
+kernel.  Sums over an axis that padding fills with zeros are taken in a fixed
+sequential order (:func:`sum_over`, :func:`stable_softmax`,
+:func:`weighted_row_sum`), so padding never changes a result bit.
 
 Tensors are immutable after creation except for their ``grad`` buffer.  A tape
 and the tensors recorded on it belong to a single thread; independent tapes on
@@ -331,9 +333,15 @@ def row_product(x, w):
 
 
 def outer_sum(g, x):
-    """``g.T @ x`` for ``g`` (n, O), ``x`` (n, I), skipping the rows where ``g`` is all zero."""
+    """``g.T @ x`` for ``g`` (n, O), ``x`` (n, I), skipping the rows where ``g`` is all zero.
+
+    It runs as :func:`row_product` blocks of ``g.T``, which OpenBLAS keeps on the
+    calling thread; one large product would wake worker threads that spin on.
+    """
     keep = np.flatnonzero(g.any(axis=1))
-    return g[keep].T @ x[keep]
+    if keep.size == 0:
+        return np.zeros((g.shape[1], x.shape[1]))
+    return row_product(g[keep].T, x[keep])
 
 
 def linear(x, w, b=None):
