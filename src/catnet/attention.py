@@ -21,9 +21,10 @@ masked ``(V, Q, K)`` softmax; padded query rows are never placed in a slot.
 When every present token queries (always in task-unaware mode) the token
 array itself is the query array.  A query row's logits, weights and output do
 not depend on which other rows are scored, so both regimes give the same bits
-for the same query.  The weighted sums add their K summands in ascending
-value order, so relabelling codes within a type permutes slots and weights
-and changes no bit of any value.
+for the same query.  Each visit's keys are gathered into one order fixed by
+their own bytes, and the softmax denominator and the weighted sum add their
+K terms in that order, so relabelling codes within a type permutes slots and
+weights and changes no bit of any value.
 """
 
 from __future__ import annotations
@@ -195,17 +196,21 @@ def attend(tokens: TokenBatch, mode: str, primary: str = None, *, vocab: VocabSp
     order = np.argsort(~is_query, axis=1, kind="stable")[:, :is_query.sum(axis=1).max()]
     queries = np.where(np.take_along_axis(is_query, order, axis=1), order, -1)
     x = tokens.values
-    if np.array_equal(is_query, tokens.type_ids >= 0):    # every present token queries
-        q = x
-    else:
-        n_visits, width, embed_dim = x.shape
-        q = ad.take_row(ad.reshape(x, (n_visits * width, embed_dim)),
-                        order + width * np.arange(n_visits)[:, None])
-    logits = ad.scale(ad.einsum("vqe,vke->vqk", q, x), 1.0 / math.sqrt(x.shape[-1]))
-    weights = ad.stable_softmax(logits, tokens.type_ids[:, None, :] >= 0)
-    out = ad.add(q, ad.weighted_row_sum(weights, x))
+    n_visits, width, embed_dim = x.shape
+    flat = ad.reshape(x, (n_visits * width, embed_dim))
+    starts = width * np.arange(n_visits)[:, None]
+    # each visit's keys sorted by their bytes, an order that code labels cannot change
+    key_order = np.argsort(x.data.view((np.void, 8 * embed_dim))[..., 0], axis=1, kind="stable")
+    keys = ad.take_row(flat, key_order + starts)
+    # every present token queries (always in task-unaware mode): the tokens are the queries
+    q = x if np.array_equal(is_query, tokens.type_ids >= 0) else ad.take_row(flat, order + starts)
+    logits = ad.scale(ad.einsum("vqe,vke->vqk", q, keys), 1.0 / math.sqrt(embed_dim))
+    present = np.take_along_axis(tokens.type_ids >= 0, key_order, axis=1)
+    weights = ad.stable_softmax(logits, present[:, None, :])
+    out = ad.add(q, ad.weighted_row_sum(weights, keys))
+    in_token_order = np.take_along_axis(weights.data, np.argsort(key_order, axis=1)[:, None, :], 2)
     return (_place_in_slots(out, np.take_along_axis(slots, order, axis=1), n_slots),
-            BatchAttention(tokens=tokens, query_weights=weights.data, queries=queries))
+            BatchAttention(tokens=tokens, query_weights=in_token_order, queries=queries))
 
 
 def raw_slot_layout(tokens: TokenBatch, mode: str, primary: str, vocab: VocabSpec) -> ad.Tensor:

@@ -37,9 +37,11 @@ where one large product would wake worker threads.  The batched attention
 contractions stay on ``np.einsum`` without path optimisation (one dot product
 in index order per output entry), because their padding grows the query and
 key axes of each product, and a BLAS call of another shape may take another
-kernel.  Sums over an axis that padding fills with zeros are taken in a fixed
-sequential order (:func:`sum_over`, :func:`stable_softmax`,
-:func:`weighted_row_sum`), so padding never changes a result bit.
+kernel.  Sums over an axis that padding fills with zeros add their terms one
+after another in index order (:func:`sum_over`, :func:`stable_softmax`,
+:func:`weighted_row_sum`), so padding never changes a result bit; a caller
+that needs a sum independent of the order of its terms puts them in a fixed
+order first, as cross-event attention does with its keys.
 
 Tensors are immutable after creation except for their ``grad`` buffer.  A tape
 and the tensors recorded on it belong to a single thread; independent tapes on
@@ -341,7 +343,9 @@ def outer_sum(g, x):
     keep = np.flatnonzero(g.any(axis=1))
     if keep.size == 0:
         return np.zeros((g.shape[1], x.shape[1]))
-    return row_product(g[keep].T, x[keep])
+    if keep.size < len(g):
+        g, x = g[keep], x[keep]
+    return row_product(g.T, np.ascontiguousarray(x))   # row-major, as a kept-row copy is
 
 
 def linear(x, w, b=None):
@@ -401,16 +405,10 @@ def sum_over(t, axis=None):
     trailing zeros (padding) leave the sum bitwise unchanged.
     """
     shape = t.data.shape
-    if axis is None:
-        out_data = np.sum(t.data)
-    else:
-        out_data = np.take(np.cumsum(t.data, axis=axis), -1, axis=axis)
+    out_data = np.sum(t.data) if axis is None else np.take(np.cumsum(t.data, axis=axis), -1, axis)
 
     def bwd(g):
-        if axis is None:
-            accumulate(t, np.broadcast_to(g, shape))
-        else:
-            accumulate(t, np.broadcast_to(np.expand_dims(g, axis), shape))
+        accumulate(t, np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape))
 
     return record("sum_over", out_data, (t,), bwd)
 
@@ -450,9 +448,9 @@ def stable_softmax(logits, mask=None):
 
     ``mask`` broadcasts against ``logits``.  Masked entries come out exactly 0;
     unmasked entries are positive and sum to 1.  The denominator adds the
-    exponentials in ascending value order, so the result depends neither on
-    the order of the entries nor on how many masked entries pad a row.  A row
-    with an all-false mask is an error ("empty attention support").
+    exponentials one after another in index order, so masked entries (exact
+    zeros) leave it bitwise unchanged wherever they sit.  A row with an
+    all-false mask is an error ("empty attention support").
     """
     x = logits.data
     if mask is None:
@@ -465,10 +463,10 @@ def stable_softmax(logits, mask=None):
             raise ValueError(
                 f"stable_softmax: mask shape {mask.shape} vs logits {x.shape}") from None
     if not mask.any(axis=-1).all():
-        raise ValueError("empty attention support")
+        raise ValueError(f"stable_softmax: empty attention support in logits of shape {x.shape}")
     top = np.max(np.where(mask, x, -np.inf), axis=-1, keepdims=True)
     e = np.exp(np.where(mask, x - top, -np.inf))
-    probs = e / np.cumsum(np.sort(e, axis=-1), axis=-1)[..., -1:]
+    probs = e / np.cumsum(e, axis=-1)[..., -1:]
 
     def bwd(g):
         inner = np.cumsum(g * probs, axis=-1)[..., -1:]
@@ -477,25 +475,18 @@ def stable_softmax(logits, mask=None):
     return record("stable_softmax", probs, (logits,), bwd)
 
 
-def weighted_row_sum(weights, rows, sort=True):
-    """``weights @ rows`` summed in a fixed order: (..., Q, K) x (..., K, N).
+def weighted_row_sum(weights, rows):
+    """``weights @ rows`` for (..., Q, K) x (..., K, N), adding the K rows in row order.
 
-    With ``sort`` the K summands of each output entry are added in ascending
-    value order, so the result does not depend on how the rows are ordered
-    (this materialises all Q*K*N products).  Without it they are added in row
-    order, one row at a time.  Either way zero-weight padding rows leave the
-    result bitwise unchanged.
+    Each output entry starts at zero and adds its K products one row after
+    another, so zero-weight padding rows leave it bitwise unchanged.
     """
     w, r = weights.data, rows.data
     if w.ndim < 2 or w.shape[-1] != r.shape[-2] or w.shape[:-2] != r.shape[:-2]:
         raise ValueError(f"weighted_row_sum: shape mismatch {w.shape} vs {r.shape}")
-    if sort:
-        products = w[..., :, :, None] * r[..., None, :, :]
-        out = np.cumsum(np.sort(products, axis=-2), axis=-2)[..., -1, :]
-    else:
-        out = np.zeros(w.shape[:-1] + r.shape[-1:])
-        for k in range(r.shape[-2]):
-            out += w[..., :, k, None] * r[..., None, k, :]
+    out = np.zeros(w.shape[:-1] + r.shape[-1:])
+    for k in range(r.shape[-2]):
+        out += w[..., :, k, None] * r[..., None, k, :]
 
     def bwd(g):
         if weights.requires_grad:

@@ -31,8 +31,9 @@ class VocabSpec:
 
     def __post_init__(self):
         for etype in EVENT_TYPES:
-            if self.size(etype) < 0:
-                raise ValueError(f"vocab size for {etype} must be non-negative")
+            n = getattr(self, etype)
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+                raise ValueError(f"vocab size for {etype} must be a non-negative integer, got {n!r}")
         if self.total() < 1:
             raise ValueError("vocabulary must contain at least one code overall")
 
@@ -259,7 +260,10 @@ def save_dataset(records, vocab: VocabSpec, data_path: str, vocab_path: str = No
 
 def load_vocab(vocab_path: str) -> VocabSpec:
     with open(vocab_path) as fh:
-        return VocabSpec.from_dict(json.load(fh))
+        try:
+            return VocabSpec.from_dict(json.load(fh))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{vocab_path}: malformed vocab: {exc}") from exc
 
 
 def load_dataset(data_path: str, vocab_path: str = None):

@@ -10,7 +10,7 @@ from catnet.attention import (
     output_width,
     raw_slot_layout as raw_slot_batch,
 )
-from catnet.cohort import Visit, VocabSpec
+from catnet.cohort import EVENT_TYPES, Visit, VocabSpec
 from catnet.time_kernel import TimeKernelParams, time_embed
 
 
@@ -180,6 +180,43 @@ def test_within_type_permutation_equivariance_exact():
         for c in range(4):
             np.testing.assert_array_equal(base_slots[3 + c], perm_slots[3 + perm[c]])
         np.testing.assert_array_equal(base_slots[-1], perm_slots[-1])  # interval
+
+
+def test_within_type_permutation_equivariance_batched_task_aware():
+    # visits of unequal length in one batch; med queries are gathered out of the tokens
+    rng = np.random.default_rng(32)
+    vocab = VocabSpec(med=6, diag=5, lab=4, proc=3)
+    for trial in range(20):
+        embeddings = CodeEmbeddings.init(vocab, 4, rng)
+        perms = {etype: rng.permutation(vocab.size(etype)) for etype in EVENT_TYPES}
+        permuted_emb = CodeEmbeddings(
+            tables={etype: ad.parameter(table.data[np.argsort(perms[etype])])
+                    for etype, table in embeddings.tables.items()}, embed_dim=4)
+        visits = [Visit(time_days=0.0, codes={etype: sorted(rng.choice(
+            vocab.size(etype), size=rng.integers(0, vocab.size(etype) + 1), replace=False).tolist())
+            for etype in EVENT_TYPES}) for _ in range(5)]
+        relabelled = [Visit(time_days=0.0, codes={etype: sorted(int(perms[etype][c])
+                                                                for c in visit.codes[etype])
+                                                  for etype in EVENT_TYPES}) for visit in visits]
+        intervals = ad.tensor(rng.uniform(-0.1, 0.1, (len(visits), 4)))
+        base, base_att = attend_batch(build_token_batch(visits, embeddings, intervals),
+                                      "task-aware", primary="med", vocab=vocab)
+        perm, perm_att = attend_batch(build_token_batch(relabelled, permuted_emb, intervals),
+                                      "task-aware", primary="med", vocab=vocab)
+        assert len({len(rec.key_meta) for rec in base_att.records()}) > 1
+
+        relabel = lambda m: (m[0], int(perms[m[0]][m[1]])) if m[0] in perms else m
+        for rec, perm_rec in zip(base_att.records(), perm_att.records()):
+            perm_w = {(q, k): w for q, row in zip(perm_rec.query_meta, perm_rec.weights)
+                      for k, w in zip(perm_rec.key_meta, row)}
+            for q, row in zip(rec.query_meta, rec.weights):
+                for k, w in zip(rec.key_meta, row):
+                    assert w == perm_w[relabel(q), relabel(k)]
+
+        base_slots = base.data.reshape(len(visits), -1, 4)
+        perm_slots = perm.data.reshape(len(visits), -1, 4)
+        np.testing.assert_array_equal(base_slots[:, :6], perm_slots[:, perms["med"]])
+        np.testing.assert_array_equal(base_slots[:, 6], perm_slots[:, 6])   # interval
 
 
 def test_output_depends_on_interval_gap():

@@ -43,7 +43,7 @@ def test_softmax_sum_survives_extreme_spread():
 
 
 def test_softmax_empty_mask_rejected():
-    with pytest.raises(ValueError, match="empty attention support"):
+    with pytest.raises(ValueError, match=r"^stable_softmax: empty attention support .*\(2,\)"):
         ad.stable_softmax(ad.tensor([1.0, 2.0]), np.array([False, False]))
 
 
@@ -147,13 +147,36 @@ def test_padding_leaves_values_bitwise_unchanged():
         w = ad.stable_softmax(ad.tensor(logits))
         wp = ad.stable_softmax(ad.tensor(padded_logits), mask)
         np.testing.assert_array_equal(wp.data[:, :k], w.data)
-        for sort in (True, False):
-            np.testing.assert_array_equal(
-                ad.weighted_row_sum(ad.reshape(wp, (3, 1, -1)), ad.tensor(padded_rows), sort).data,
-                ad.weighted_row_sum(ad.reshape(w, (3, 1, -1)), ad.tensor(rows), sort).data)
+        np.testing.assert_array_equal(
+            ad.weighted_row_sum(ad.reshape(wp, (3, 1, -1)), ad.tensor(padded_rows)).data,
+            ad.weighted_row_sum(ad.reshape(w, (3, 1, -1)), ad.tensor(rows)).data)
         zero_padded = np.concatenate([rows, np.zeros((3, pad, n))], axis=1)
         np.testing.assert_array_equal(ad.sum_over(ad.tensor(zero_padded), axis=1).data,
                                       ad.sum_over(ad.tensor(rows), axis=1).data)
+
+
+def test_sums_add_left_to_right():
+    # the documented order: softmax denominator and weighted row sum add their
+    # terms one after another, first index first, like a plain Python loop
+    rng = np.random.default_rng(6)
+    for _ in range(50):
+        k, n = rng.integers(2, 14), rng.integers(1, 5)
+        logits = rng.uniform(-30, 30, k)
+        rows = rng.uniform(-1, 1, (k, n)) * 10.0 ** rng.uniform(-6, 6, (k, 1))
+        e = np.exp(logits - logits.max())
+        total = 0.0
+        for term in e.tolist():
+            total += term
+        w = ad.stable_softmax(ad.tensor(logits)).data
+        np.testing.assert_array_equal(w, e / total)
+        expected = []
+        for j in range(n):
+            acc = 0.0
+            for i in range(k):
+                acc += float(w[i]) * float(rows[i, j])
+            expected.append(acc)
+        np.testing.assert_array_equal(
+            ad.weighted_row_sum(ad.tensor(w[None, :]), ad.tensor(rows)).data[0], expected)
 
 
 def test_determinism_bitwise():
@@ -252,11 +275,11 @@ def test_each_op_matches_finite_differences(seed):
                                                 ad.tensor(np.ones((2, 2, 3)) * cv))),
         "softmax_rows": lambda: ad.sum_over(ad.mul(ad.stable_softmax(a, [True, False, True, True]),
                                                    ad.tensor(coeff))),
-        "row_sum_sorted": lambda: ad.sum_over(ad.mul(ad.weighted_row_sum(
-            ad.reshape(a, (3, 1, 4)), ad.stack([m, m, m]), sort=True),
+        "row_sum_a": lambda: ad.sum_over(ad.mul(ad.weighted_row_sum(
+            ad.reshape(a, (3, 1, 4)), ad.stack([m, m, m])),
             ad.tensor(coeff[:, None, :3]))),
-        "row_sum_ordered": lambda: ad.sum_over(ad.mul(ad.weighted_row_sum(
-            ad.reshape(b, (3, 1, 4)), ad.stack([m, m, m]), sort=False),
+        "row_sum_b": lambda: ad.sum_over(ad.mul(ad.weighted_row_sum(
+            ad.reshape(b, (3, 1, 4)), ad.stack([m, m, m])),
             ad.tensor(coeff[:, None, :3]))),
     }
     for name, f in cases.items():
@@ -340,9 +363,11 @@ def test_linear_weight_gradient_ignores_interleaved_zero_gradient_rows(n_out):
         at = np.sort(rng.integers(0, n_rows + 1, n_zero))
         grads = []
         for rows, g in ((x, coeff), (np.insert(x, at, rng.uniform(-1, 1, (n_zero, width)), axis=0),
-                                     np.insert(coeff, at, 0.0, axis=0))):
+                                     np.insert(coeff, at, 0.0, axis=0)),
+                        (np.asfortranarray(x), coeff)):   # a column-major input, all rows kept
             w = ad.parameter(np.linspace(-1.0, 1.0, n_out * width).reshape(n_out, width))
             with ad.Tape():
                 ad.backward(ad.sum_over(ad.mul(ad.linear(ad.tensor(rows), w), ad.tensor(g))))
             grads.append(w.grad)
         np.testing.assert_array_equal(grads[0], grads[1])
+        np.testing.assert_array_equal(grads[0], grads[2])

@@ -11,6 +11,7 @@ from catnet.cohort import (
     derive_intervals,
     extract_task_instances,
     load_dataset,
+    load_vocab,
     save_dataset,
     split_dataset,
 )
@@ -159,6 +160,21 @@ class TestValidation:
         data.write_text("\n".join(lines) + "\n")
         before = [r.mortality for r in make_cohort(2)]
         assert [r.mortality for r in load_dataset(str(data))[0]] == [not m for m in before]
+
+    BAD_MED_SIZE = "vocab size for med must be a non-negative integer, got "
+
+    @pytest.mark.parametrize("text, shown", [
+        ('{"med":2.5,"diag":3,"lab":2,"proc":1}', BAD_MED_SIZE + "2.5"),
+        ('{"med":"3","diag":3,"lab":2,"proc":1}', BAD_MED_SIZE + "'3'"),
+        ('{"med":true,"diag":3,"lab":2,"proc":1}', BAD_MED_SIZE + "True"),
+        ('{"med":4,"diag":3,"lab":2}', "'proc'"),
+        ("[4, 3, 2, 1]", "list indices must be integers"),
+    ], ids=["fraction", "string", "bool", "missing-key", "list"])
+    def test_malformed_vocab_rejected_with_path(self, tmp_path, text, shown):
+        path = tmp_path / "vocab.json"
+        path.write_text(text + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: malformed vocab: {shown}")):
+            load_vocab(str(path))
 
 
 class TestSplit:
