@@ -1,13 +1,13 @@
 """Cross-event attention inside every visit of a batch, all visits at once.
 
 A batch of V visits becomes a padded ``(V, K, E)`` token array.  Visit v holds
-its present codes in a fixed global order (med, diag, lab, proc, ascending
-code index), then one interval token carrying the embedded gap since the
-previous visit, then zero padding up to K, the token count of the batch's
-longest visit.  Attention runs over present tokens only: a ``(V, K)`` mask
-hides the padding from every softmax, and absent vocabulary codes never enter
-the key set.  So neither a longer visit elsewhere in the batch nor a larger
-vocabulary of unused codes can change a visit's result.
+its present codes grouped by event type (med, diag, lab, proc), within a type
+in the order of their embeddings' bytes, then one interval token carrying the
+embedded gap since the previous visit, then zero padding up to K, the token
+count of the batch's longest visit.  Attention runs over present tokens only:
+a ``(V, K)`` mask hides the padding from every softmax, and absent vocabulary
+codes never enter the key set.  So neither a longer visit elsewhere in the
+batch nor a larger vocabulary of unused codes can change a visit's result.
 
 Two query regimes exist.  Task-aware attention queries with the tokens of the
 prediction target's own event type plus the interval token; task-unaware
@@ -21,10 +21,10 @@ masked ``(V, Q, K)`` softmax; padded query rows are never placed in a slot.
 When every present token queries (always in task-unaware mode) the token
 array itself is the query array.  A query row's logits, weights and output do
 not depend on which other rows are scored, so both regimes give the same bits
-for the same query.  Each visit's keys are gathered into one order fixed by
-their own bytes, and the softmax denominator and the weighted sum add their
-K terms in that order, so relabelling codes within a type permutes slots and
-weights and changes no bit of any value.
+for the same query.  The softmax denominator and the weighted sum add their K
+terms in token order.  Relabelling codes within a type leaves the embeddings
+of each type's tokens, and so their byte order, as they were; it therefore
+permutes slots and weights and changes no bit of any value.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class CodeEmbeddings:
 
 @dataclass
 class TokenBatch:
-    """Padded tokens of V visits: present codes in global order, interval token last.
+    """Padded tokens of V visits: present codes by type, interval token last.
 
     ``values`` is ``(V, K, E)`` with zero rows at padding; ``type_ids`` and
     ``codes`` are ``(V, K)`` and name each token (type id -1 marks padding).
@@ -110,6 +110,13 @@ def build_token_set(visits, embeddings: CodeEmbeddings, interval_tokens: ad.Tens
     rows[type_ids < 0] = 0
     table = ad.concat([ad.tensor(np.zeros((1, embeddings.embed_dim))), *tables, interval_tokens],
                       axis=0)
+    # within each type, tokens in the order of their bytes, which no code label can change;
+    # the interval token, then padding, stay last
+    rank = np.unique(table.data.view((np.void, table.data.itemsize * embeddings.embed_dim))[:, 0],
+                     return_inverse=True)[1]
+    key = np.where(type_ids < 0, _TIME_ID + 1, type_ids) * len(rank) + rank[rows]
+    order = np.argsort(key, axis=1, kind="stable")
+    rows, type_ids, codes = (np.take_along_axis(a, order, axis=1) for a in (rows, type_ids, codes))
     return TokenBatch(values=ad.take_row(table, rows), type_ids=type_ids, codes=codes)
 
 
@@ -196,21 +203,17 @@ def attend(tokens: TokenBatch, mode: str, primary: str = None, *, vocab: VocabSp
     order = np.argsort(~is_query, axis=1, kind="stable")[:, :is_query.sum(axis=1).max()]
     queries = np.where(np.take_along_axis(is_query, order, axis=1), order, -1)
     x = tokens.values
-    n_visits, width, embed_dim = x.shape
-    flat = ad.reshape(x, (n_visits * width, embed_dim))
-    starts = width * np.arange(n_visits)[:, None]
-    # each visit's keys sorted by their bytes, an order that code labels cannot change
-    key_order = np.argsort(x.data.view((np.void, 8 * embed_dim))[..., 0], axis=1, kind="stable")
-    keys = ad.take_row(flat, key_order + starts)
-    # every present token queries (always in task-unaware mode): the tokens are the queries
-    q = x if np.array_equal(is_query, tokens.type_ids >= 0) else ad.take_row(flat, order + starts)
-    logits = ad.scale(ad.einsum("vqe,vke->vqk", q, keys), 1.0 / math.sqrt(embed_dim))
-    present = np.take_along_axis(tokens.type_ids >= 0, key_order, axis=1)
-    weights = ad.stable_softmax(logits, present[:, None, :])
-    out = ad.add(q, ad.weighted_row_sum(weights, keys))
-    in_token_order = np.take_along_axis(weights.data, np.argsort(key_order, axis=1)[:, None, :], 2)
+    if np.array_equal(is_query, tokens.type_ids >= 0):    # every present token queries
+        q = x
+    else:
+        n_visits, width, embed_dim = x.shape
+        q = ad.take_row(ad.reshape(x, (n_visits * width, embed_dim)),
+                        order + width * np.arange(n_visits)[:, None])
+    logits = ad.scale(ad.einsum("vqe,vke->vqk", q, x), 1.0 / math.sqrt(x.shape[-1]))
+    weights = ad.stable_softmax(logits, tokens.type_ids[:, None, :] >= 0)
+    out = ad.add(q, ad.weighted_row_sum(weights, x))
     return (_place_in_slots(out, np.take_along_axis(slots, order, axis=1), n_slots),
-            BatchAttention(tokens=tokens, query_weights=in_token_order, queries=queries))
+            BatchAttention(tokens=tokens, query_weights=weights.data, queries=queries))
 
 
 def raw_slot_layout(tokens: TokenBatch, mode: str, primary: str, vocab: VocabSpec) -> ad.Tensor:

@@ -41,7 +41,7 @@ kernel.  Sums over an axis that padding fills with zeros add their terms one
 after another in index order (:func:`sum_over`, :func:`stable_softmax`,
 :func:`weighted_row_sum`), so padding never changes a result bit; a caller
 that needs a sum independent of the order of its terms puts them in a fixed
-order first, as cross-event attention does with its keys.
+order first, as cross-event attention does with each visit's tokens.
 
 Tensors are immutable after creation except for their ``grad`` buffer.  A tape
 and the tensors recorded on it belong to a single thread; independent tapes on
@@ -343,9 +343,7 @@ def outer_sum(g, x):
     keep = np.flatnonzero(g.any(axis=1))
     if keep.size == 0:
         return np.zeros((g.shape[1], x.shape[1]))
-    if keep.size < len(g):
-        g, x = g[keep], x[keep]
-    return row_product(g.T, np.ascontiguousarray(x))   # row-major, as a kept-row copy is
+    return row_product(g[keep].T, x[keep])
 
 
 def linear(x, w, b=None):
@@ -405,10 +403,16 @@ def sum_over(t, axis=None):
     trailing zeros (padding) leave the sum bitwise unchanged.
     """
     shape = t.data.shape
-    out_data = np.sum(t.data) if axis is None else np.take(np.cumsum(t.data, axis=axis), -1, axis)
+    if axis is None:
+        out_data = np.sum(t.data)
+    else:
+        out_data = np.take(np.cumsum(t.data, axis=axis), -1, axis=axis)
 
     def bwd(g):
-        accumulate(t, np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape))
+        if axis is None:
+            accumulate(t, np.broadcast_to(g, shape))
+        else:
+            accumulate(t, np.broadcast_to(np.expand_dims(g, axis), shape))
 
     return record("sum_over", out_data, (t,), bwd)
 

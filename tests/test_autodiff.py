@@ -363,11 +363,9 @@ def test_linear_weight_gradient_ignores_interleaved_zero_gradient_rows(n_out):
         at = np.sort(rng.integers(0, n_rows + 1, n_zero))
         grads = []
         for rows, g in ((x, coeff), (np.insert(x, at, rng.uniform(-1, 1, (n_zero, width)), axis=0),
-                                     np.insert(coeff, at, 0.0, axis=0)),
-                        (np.asfortranarray(x), coeff)):   # a column-major input, all rows kept
+                                     np.insert(coeff, at, 0.0, axis=0))):
             w = ad.parameter(np.linspace(-1.0, 1.0, n_out * width).reshape(n_out, width))
             with ad.Tape():
                 ad.backward(ad.sum_over(ad.mul(ad.linear(ad.tensor(rows), w), ad.tensor(g))))
             grads.append(w.grad)
         np.testing.assert_array_equal(grads[0], grads[1])
-        np.testing.assert_array_equal(grads[0], grads[2])

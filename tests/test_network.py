@@ -176,37 +176,42 @@ class TestBatchContracts:
     def test_within_type_permutation_equivariance_through_model(self):
         # diag tokens are keys only in task-aware med, so relabelling diag codes
         # moves no slot of the visit vector and must change no output bit.  The
-        # visits carry up to six diag keys; the attention the model reports shows
-        # the ulps that a sum in token order leaves, which the probabilities round off
+        # generated visits carry up to six diag keys; the attention the model reports
+        # shows the ulps that a sum in label order leaves, which the probabilities round off
         cfg = tiny_config()
-        vocab = VocabSpec(med=3, diag=6, lab=1, proc=1)
         rng = np.random.default_rng(14)
-        records = [PatientRecord(f"p{i}", 50.0, "F", [
+        generated = [PatientRecord(f"p{i}", 50.0, "F", [
             Visit(10.0 * t, {"med": [t % 3], "lab": [0], "proc": [],
                              "diag": sorted(rng.choice(6, rng.integers(2, 7), replace=False).tolist())})
             for t in range(rng.integers(3, 6))], mortality=False) for i in range(6)]
-        model = CatnetModel(cfg, vocab, np.random.default_rng(14))
-        expected, expected_att = model.forward_batch(build_instances(records, cfg.task_spec, vocab))
-        for perm in [rng.permutation(6) for _ in range(3)]:
-            permuted = CatnetModel(cfg, vocab, np.random.default_rng(0))
-            state = model.state_arrays()
-            state["emb_diag"] = state["emb_diag"][np.argsort(perm)]
-            permuted.load_state_arrays(state)
-            relabelled = [
-                PatientRecord(r.patient_id, r.age_years, r.sex,
-                              [Visit(v.time_days, {**v.codes, "diag": sorted(int(perm[c])
-                                                                            for c in v.codes["diag"])})
-                               for v in r.visits], r.mortality)
-                for r in records]
-            probs, att = permuted.forward_batch(build_instances(relabelled, cfg.task_spec, vocab))
-            np.testing.assert_array_equal(expected.data, probs.data)
-            relabel = lambda m: ("diag", int(perm[m[1]])) if m[0] == "diag" else m
-            for rec, perm_rec in zip(expected_att.records(), att.records()):
-                perm_w = {(q, k): w for q, row in zip(perm_rec.query_meta, perm_rec.weights)
-                          for k, w in zip(perm_rec.key_meta, row)}
-                for q, row in zip(rec.query_meta, rec.weights):
-                    for k, w in zip(rec.key_meta, row):
-                        assert w == perm_w[relabel(q), relabel(k)]
+        cases = [(tiny_vocab(), tiny_records(), [np.array([1, 0])]),
+                 (VocabSpec(med=3, diag=6, lab=1, proc=1), generated,
+                  [rng.permutation(6) for _ in range(3)])]
+        for vocab, records, perms in cases:
+            model = CatnetModel(cfg, vocab, np.random.default_rng(14))
+            instances = build_instances(records, cfg.task_spec, vocab)
+            expected, expected_att = model.predict(instances), model.forward_batch(instances)[1]
+            for perm in perms:
+                permuted = CatnetModel(cfg, vocab, np.random.default_rng(0))
+                state = model.state_arrays()
+                state["emb_diag"] = state["emb_diag"][np.argsort(perm)]
+                permuted.load_state_arrays(state)
+                relabelled = [
+                    PatientRecord(r.patient_id, r.age_years, r.sex,
+                                  [Visit(v.time_days, {**v.codes, "diag": sorted(int(perm[c])
+                                                                                for c in v.codes["diag"])})
+                                   for v in r.visits], r.mortality)
+                    for r in records]
+                relabelled = build_instances(relabelled, cfg.task_spec, vocab)
+                np.testing.assert_array_equal(expected, permuted.predict(relabelled))
+                relabel = lambda m: ("diag", int(perm[m[1]])) if m[0] == "diag" else m
+                for rec, perm_rec in zip(expected_att.records(),
+                                         permuted.forward_batch(relabelled)[1].records()):
+                    perm_w = {(q, k): w for q, row in zip(perm_rec.query_meta, perm_rec.weights)
+                              for k, w in zip(perm_rec.key_meta, row)}
+                    for q, row in zip(rec.query_meta, rec.weights):
+                        for k, w in zip(rec.key_meta, row):
+                            assert w == perm_w[relabel(q), relabel(k)]
 
     def test_absent_code_neutrality_through_model(self):
         cfg = tiny_config()
