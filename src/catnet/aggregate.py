@@ -2,14 +2,14 @@
 
 Hidden states from the backbone arrive as a padded ``(B, T, H)`` array, zero
 past each patient's number of visits (``lengths``).  They are combined along
-two routes: scaled dot-product self-attention across each patient's own
-visits yields per-visit contexts (one masked ``(B, T, T)`` softmax), and a
-sigmoid gate driven by each visit's elapsed time since the first visit scales
-the hidden states elementwise (one kernel call over all ``B * T``
-positions).  Both routes are zero at padded positions.  Per visit, the two
-are added, summed over visits in visit order (padding adds exact zeros),
-concatenated with the encoded demographics, and mapped through a sigmoid
-output layer to per-target probabilities, ``(B, n_targets)``.
+two routes, each summed over visits in visit order (padding adds exact
+zeros): scaled dot-product self-attention across each patient's own visits
+(one masked ``(B, T, T)`` softmax), whose contexts sum to one attention-
+weighted sum of the states, and a sigmoid gate driven by each visit's elapsed
+time since the first visit that scales the hidden states elementwise (one
+kernel call over all ``B * T`` positions).  The two ``(B, H)`` sums are
+added, concatenated with the encoded demographics, and mapped through a
+sigmoid output layer to per-target probabilities, ``(B, n_targets)``.
 """
 
 from __future__ import annotations
@@ -51,21 +51,24 @@ class HeadParams:
 
 
 def visit_self_attention(states: ad.Tensor, lengths):
-    """Per-visit attention contexts over each patient's own visits.
+    """Visit attention over each patient's own visits, summed over visits.
 
-    Returns ``(contexts, alpha)``: context t of patient b is the alpha-weighted
-    sum of the patient's hidden states, added in visit order; alpha row t is
-    the softmax of scaled dot products of state t against each of them.
-    ``contexts`` is ``(B, T, H)``, zero past each length; ``alpha`` is a list
-    of one ``(T_b, T_b)`` array per patient.
+    Alpha row t is the softmax of scaled dot products of state t against the
+    patient's states; context t is ``sum_k alpha[t, k] h_k``.  As
+    ``sum_t sum_k alpha[t, k] h_k = sum_k (sum_t alpha[t, k]) h_k``, state k's
+    weight is alpha's column k summed over the patient's visits (in visit
+    order, padded query rows masked out), and ``pooled`` adds the weighted
+    states in visit order.  Returns ``(pooled, alpha)``: ``pooled`` is
+    ``(B, H)``; ``alpha`` is a list of one ``(T_b, T_b)`` array per patient.
     """
     mask = step_mask(lengths)
     if states.data.ndim != 3 or states.shape[:2] != mask.shape:
         raise ValueError(f"visit_self_attention: states {states.shape} vs lengths {list(lengths)}")
     logits = ad.scale(ad.einsum("bqh,bkh->bqk", states, states), 1.0 / math.sqrt(states.shape[-1]))
     alpha = ad.stable_softmax(logits, mask[:, None, :])
-    contexts = ad.mul(ad.weighted_row_sum(alpha, states), ad.tensor(mask[:, :, None]))
-    return contexts, [alpha.data[b, :n, :n] for b, n in enumerate(lengths)]
+    column = ad.weighted_row_sum(ad.tensor(mask[:, None, :]), alpha)
+    pooled = ad.reshape(ad.weighted_row_sum(column, states), (len(mask), states.shape[-1]))
+    return pooled, [alpha.data[b, :n, :n] for b, n in enumerate(lengths)]
 
 
 def global_time_gate(states: ad.Tensor, delta_global, lengths, kernel: TimeKernelParams):
@@ -94,14 +97,14 @@ def encode_demographics(demo, params: HeadParams) -> ad.Tensor:
     return ad.linear(ad.tensor(demo), params.demo_w, params.demo_b)
 
 
-def fuse_and_predict(contexts: ad.Tensor, gated, demo, params: HeadParams) -> ad.Tensor:
-    """Per-target probabilities from the two per-visit routes and demographics.
+def fuse_and_predict(pooled: ad.Tensor, gated, demo, params: HeadParams) -> ad.Tensor:
+    """Per-target probabilities from the two routes and demographics.
 
-    ``contexts`` and ``gated`` are ``(..., T, H)`` with zeros at padded
-    visits, ``demo`` is ``(..., 3)``.  ``gated`` may be None (global gate
-    ablated), in which case the fused sum uses the attention contexts alone.
+    ``pooled`` is ``(..., H)``, the visit contexts summed over visits.
+    ``gated`` is ``(..., T, H)``, zero at padded visits, or None (global gate
+    ablated); its sum over visits, in visit order, is added to ``pooled``.
+    ``demo`` is ``(..., 3)``.
     """
-    per_visit = contexts if gated is None else ad.add(contexts, gated)
-    fused = ad.sum_over(per_visit, axis=-2)
+    fused = pooled if gated is None else ad.add(pooled, ad.sum_over(gated, axis=-2))
     features = ad.concat([fused, encode_demographics(demo, params)])
     return ad.sigmoid(ad.linear(features, params.out_w, params.out_b))

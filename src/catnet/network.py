@@ -11,18 +11,18 @@ B patients with V visits in all.  The V visits are packed patient after
 patient: one ``(V,)`` interval-kernel call, one ``(V, K, E)`` token gather,
 one masked ``(V, K, K)`` cross-event softmax, one input projection per gate,
 then ``T = max visits`` recurrent steps on ``(B, H)``, one masked
-``(B, T, T)`` visit attention and one gate call over the ``(B, T)`` grid.
-Padding (tokens past a visit's codes, steps past a patient's visits) is
-masked out or zeroed at every layer, and every sum that padding extends adds
-in a fixed order, so a patient's probabilities are bitwise the same alone as
-in any batch.
+``(B, T, T)`` visit attention summed over visits into ``(B, H)`` and one gate
+call over the ``(B, T)`` grid.  Padding (tokens past a visit's codes, steps
+past a patient's visits) is masked out or zeroed at every layer, and every
+sum that padding extends adds in a fixed order, so a patient's probabilities
+are bitwise the same alone as in any batch.
 
 Ablation variants substitute documented replacements for single components:
 without cross-event attention the visit vector holds raw embeddings in the
-same slot layout; without visit attention each context is the hidden state
-itself; without the global gate that route contributes nothing; without the
-interval signal a learned constant token stands in for every gap; dropped
-event types are removed from every visit.
+same slot layout; without visit attention the hidden states are summed over
+visits in place of its contexts; without the global gate that route
+contributes nothing; without the interval signal a learned constant token
+stands in for every gap; dropped event types are removed from every visit.
 """
 
 from __future__ import annotations
@@ -163,6 +163,8 @@ class CatnetModel:
         if drop_visits and rng is None:
             raise ValueError("dropout in training needs an explicit rng (a numpy Generator); "
                              "got rng=None")
+        if not instances:
+            raise ValueError("forward_batch: empty batch; pass at least one instance")
         lengths = np.array([len(inst.visits) for inst in instances])
         mask = step_mask(lengths)
         visits = [visit for inst in instances for visit in inst.visits]
@@ -184,9 +186,9 @@ class CatnetModel:
 
         states = run_sequence(x, lengths, self.rnn)
         if "visit" in cfg.drops:
-            contexts = states
+            pooled = ad.sum_over(states, axis=1)
         else:
-            contexts, _ = visit_self_attention(states, lengths)
+            pooled, _ = visit_self_attention(states, lengths)
         if "global" in cfg.drops:
             gated = None
         else:
@@ -194,7 +196,7 @@ class CatnetModel:
             gaps[mask] = np.concatenate([inst.delta_global for inst in instances]) / cfg.time_scale
             gated, _ = global_time_gate(states, gaps, lengths, self.decay_kernel)
         demo = np.stack([inst.demo for inst in instances])
-        return fuse_and_predict(contexts, gated, demo, self.head), attention
+        return fuse_and_predict(pooled, gated, demo, self.head), attention
 
     def forward_instance(self, instance: TaskInstance):
         """Evaluation-mode probabilities ``(n_targets,)`` for one instance: a batch of one."""

@@ -34,29 +34,31 @@ def zero_gate_kernel(hidden_dim):
 class TestVisitAttention:
     def test_single_visit(self):
         h = np.array([0.3, -0.7, 1.1])
-        contexts, alpha = visit_self_attention(*one([h]))
+        pooled, alpha = visit_self_attention(*one([h]))
         np.testing.assert_array_equal(alpha[0], [[1.0]])
-        np.testing.assert_allclose(contexts.data[0, 0], h, rtol=1e-15)
+        np.testing.assert_allclose(pooled.data[0], h, rtol=1e-15)
 
     def test_identical_states_attend_uniformly(self):
         h = np.array([0.5, 0.2])
-        contexts, alpha = visit_self_attention(*one([h, h, h]))
+        pooled, alpha = visit_self_attention(*one([h, h, h]))
         np.testing.assert_allclose(alpha[0], 1.0 / 3.0, atol=1e-15)
-        for c in contexts.data[0]:
-            np.testing.assert_allclose(c, h, rtol=1e-12)
+        # each of the three contexts is h, so their sum is 3h
+        np.testing.assert_allclose(pooled.data[0], 3 * h, rtol=1e-12)
 
     def test_three_visits_match_brute_force(self):
         rng = np.random.default_rng(0)
         hs = [rng.uniform(-1, 1, 4) for _ in range(3)]
-        contexts, alpha = visit_self_attention(*one(hs))
+        pooled, alpha = visit_self_attention(*one(hs))
 
         H = np.stack(hs)
+        contexts = []
         for t in range(3):
             logits = H @ hs[t] / math.sqrt(4)
             e = np.exp(logits - logits.max())
             w = e / e.sum()
             np.testing.assert_allclose(alpha[0][t], w, rtol=1e-12)
-            np.testing.assert_allclose(contexts.data[0, t], w @ H, rtol=1e-12)
+            contexts.append(w @ H)
+        np.testing.assert_allclose(pooled.data[0], sum(contexts), rtol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
@@ -72,6 +74,50 @@ class TestVisitAttention:
         _, alpha = visit_self_attention(*one(hs))
         _, alpha_rot = visit_self_attention(*one([q @ h for h in hs]))
         np.testing.assert_allclose(alpha[0], alpha_rot[0], atol=1e-9)
+
+
+def padded_states(rows, lengths):
+    """A (B, max length, H) batch of the given rows per patient, zero past each length."""
+    states = np.zeros((len(lengths), max(lengths), rows[0].shape[-1]))
+    for b, (patient, n) in enumerate(zip(rows, lengths)):
+        states[b, :n] = patient
+    return states
+
+
+class TestPooledReadout:
+    """Gradient and batch exactness of the visit-attention readout on padded batches."""
+
+    def pooled_loss(self, states, lengths, coeff):
+        pooled, _ = visit_self_attention(states, lengths)
+        return ad.sum_over(ad.mul(pooled, ad.tensor(coeff)))
+
+    def test_gradients_match_finite_differences_on_padded_batch(self):
+        rng = np.random.default_rng(10)
+        lengths = [3, 1, 4]
+        data = padded_states([rng.uniform(-1, 1, (n, 5)) for n in lengths], lengths)
+        states = ad.parameter(data)
+        coeff = rng.uniform(-1, 1, (3, 5))
+        with ad.Tape():
+            ad.backward(self.pooled_loss(states, lengths, coeff))
+        numeric = central_difference(
+            lambda: self.pooled_loss(ad.tensor(data), lengths, coeff).item(), [data])
+        assert max_relative_error([states.grad], numeric) <= 1e-4
+
+    def test_short_patient_same_alone_as_beside_longer_patients(self):
+        rng = np.random.default_rng(11)
+        lengths = [4, 2, 6]
+        rows = [rng.uniform(-1, 1, (n, 5)) for n in lengths]
+        coeff = rng.uniform(-1, 1, (3, 5))
+        batch = ad.parameter(padded_states(rows, lengths))
+        alone = ad.parameter(rows[1][None])
+        with ad.Tape():
+            ad.backward(self.pooled_loss(batch, lengths, coeff))
+        with ad.Tape():
+            ad.backward(self.pooled_loss(alone, [2], coeff[1:2]))
+        np.testing.assert_array_equal(visit_self_attention(batch, lengths)[0].data[1],
+                                      visit_self_attention(alone, [2])[0].data[0])
+        np.testing.assert_array_equal(batch.grad[1, :2], alone.grad[0])
+        np.testing.assert_array_equal(batch.grad[1, 2:], 0.0)
 
 
 class TestGlobalGate:
@@ -142,11 +188,12 @@ class TestFuseAndPredict:
         kernel = TimeKernelParams.init(hidden=2, out=4, rng=rng)
         T = 5
         hs, lengths = one([h] * T)
-        contexts, _ = visit_self_attention(hs, lengths)
+        pooled, alpha = visit_self_attention(hs, lengths)
         gated, _ = global_time_gate(hs, [[0.0] * T], lengths, kernel)
-        total = ad.sum_over(ad.add(contexts, gated), axis=1)
+        total = ad.add(pooled, ad.sum_over(gated, axis=1))
+        first_context = alpha[0][0] @ hs.data[0]
         np.testing.assert_allclose(total.data[0],
-                                   T * (contexts.data[0, 0] + gated.data[0, 0]), rtol=1e-12)
+                                   T * (first_context + gated.data[0, 0]), rtol=1e-12)
 
     def test_random_instance_matches_straight_line_oracle(self):
         rng = np.random.default_rng(6)

@@ -136,6 +136,14 @@ def test_dropout_in_training_requires_an_rng():
     assert a.item() == b.item()
 
 
+def test_empty_batch_rejected():
+    model, _ = build(tiny_config())
+    with pytest.raises(ValueError, match="forward_batch: empty batch"):
+        model.forward_batch([])
+    with pytest.raises(ValueError, match="forward_batch: empty batch"):
+        model.predict([])
+
+
 def test_forward_instance_collects_one_record_per_visit():
     model, instances = build(tiny_config(), seed=5)
     probs, attention = model.forward_batch([instances[2]])
