@@ -4,10 +4,11 @@ A batch of V visits becomes a padded ``(V, K, E)`` token array.  Visit v holds
 its present codes grouped by event type (med, diag, lab, proc), within a type
 in the order of their embeddings' bytes, then one interval token carrying the
 embedded gap since the previous visit, then zero padding up to K, the token
-count of the batch's longest visit.  Attention runs over present tokens only:
-a ``(V, K)`` mask hides the padding from every softmax, and absent vocabulary
-codes never enter the key set.  So neither a longer visit elsewhere in the
-batch nor a larger vocabulary of unused codes can change a visit's result.
+count of the batch's longest visit.  One sort of all the batch's tokens decides
+this order.  Attention runs over present tokens only: a ``(V, K)`` mask hides
+the padding from every softmax, and absent vocabulary codes never enter the
+key set.  So neither a longer visit elsewhere in the batch nor a larger
+vocabulary of unused codes can change a visit's result.
 
 Two query regimes exist.  Task-aware attention queries with the tokens of the
 prediction target's own event type plus the interval token; task-unaware
@@ -84,40 +85,35 @@ def build_token_set(visits, embeddings: CodeEmbeddings, interval_tokens: ad.Tens
                     types=EVENT_TYPES) -> TokenBatch:
     """Gather the tokens of every visit; codes of event types not in ``types`` are left out.
 
-    ``interval_tokens`` is ``(V, E)``: row v is visit v's interval token.
+    ``interval_tokens`` is ``(V, E)``: row v is visit v's interval token.  One sort of
+    the batch's flat token list by (visit, type, byte rank) decides the token order.
     """
-    active = [(tid, etype) for tid, etype in enumerate(EVENT_TYPES) if etype in types]
-    per_visit = [[(tid, visit.codes_for(etype)) for tid, etype in active] for visit in visits]
+    active = np.flatnonzero([etype in types for etype in EVENT_TYPES])
+    lists = [visit.codes_for(EVENT_TYPES[tid]) for visit in visits for tid in active]
+    lengths = np.fromiter(map(len, lists), np.intp, len(lists))
     n_visits = len(visits)
-    width = 1 + max(sum(len(codes) for _, codes in row) for row in per_visit)
-    type_ids = np.full((n_visits, width), -1, dtype=np.intp)
-    codes = np.zeros((n_visits, width), dtype=np.intp)
-    for v, row in enumerate(per_visit):
-        k = 0
-        for tid, visit_codes in row:
-            n = len(visit_codes)
-            type_ids[v, k:k + n] = tid
-            codes[v, k:k + n] = visit_codes
-            k += n
-        type_ids[v, k] = _TIME_ID
-
+    # the flat list: each visit's codes type by type in list order, one interval token per
+    # visit (code 0), then a padding sentinel (visit V, type -1, code 0, row 0)
+    code_types = np.repeat(np.tile(active, n_visits), lengths)
+    codes = np.fromiter((c for lst in lists for c in lst), np.intp, len(code_types))
+    visit = np.r_[np.repeat(np.arange(n_visits), len(active)).repeat(lengths), :n_visits + 1]
+    type_ids = np.r_[code_types, [_TIME_ID] * n_visits, -1]
     # token rows in the stacked table [zero row; med; diag; lab; proc; interval tokens]
     tables = [embeddings.tables[etype] for etype in EVENT_TYPES]
     bases = np.cumsum([1] + [t.shape[0] for t in tables])
-    rows = bases[type_ids] + codes
-    is_time = type_ids == _TIME_ID
-    rows[is_time] += np.nonzero(is_time)[0]
-    rows[type_ids < 0] = 0
+    rows = np.r_[bases[code_types] + codes, bases[_TIME_ID] + np.arange(n_visits), 0]
+    codes = np.r_[codes, np.zeros(n_visits + 1, dtype=np.intp)]
     table = ad.concat([ad.tensor(np.zeros((1, embeddings.embed_dim))), *tables, interval_tokens],
                       axis=0)
-    # within each type, tokens in the order of their bytes, which no code label can change;
-    # the interval token, then padding, stay last
+    # within a type, tokens in the order of their bytes, which no code label can change
     rank = np.unique(table.data.view((np.void, table.data.itemsize * embeddings.embed_dim))[:, 0],
                      return_inverse=True)[1]
-    key = np.where(type_ids < 0, _TIME_ID + 1, type_ids) * len(rank) + rank[rows]
-    order = np.argsort(key, axis=1, kind="stable")
-    rows, type_ids, codes = (np.take_along_axis(a, order, axis=1) for a in (rows, type_ids, codes))
-    return TokenBatch(values=ad.take_row(table, rows), type_ids=type_ids, codes=codes)
+    order = np.lexsort((rank[rows], type_ids, visit))      # the sentinel sorts last
+    counts = np.bincount(visit)[:-1]
+    slot = np.arange(counts.max())
+    index = order[np.where(slot < counts[:, None], (np.cumsum(counts) - counts)[:, None] + slot, -1)]
+    return TokenBatch(values=ad.take_row(table, rows[index]), type_ids=type_ids[index],
+                      codes=codes[index])
 
 
 @dataclass

@@ -68,17 +68,12 @@ class Tape:
         self._nodes = []
 
     def __enter__(self):
-        stack = getattr(_state, "stack", None)
-        if stack is None:
-            stack = _state.stack = []
-        stack.append(self)
+        self._outer = _active_tape()
         _state.tape = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        stack = _state.stack
-        stack.pop()
-        _state.tape = stack[-1] if stack else None
+        _state.tape = self._outer
         return False
 
     def _record(self, out, backward_fn):

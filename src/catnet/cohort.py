@@ -128,9 +128,7 @@ class PatientRecord:
             raise ValueError(f"patient {pid}: mortality must be 0, 1, true or false, "
                              f"got {mortality!r}")
         visits = [Visit(time_days=_as_number(v["time_days"], pid, "time_days"),
-                        codes={t: [_as_code(c) for c in v["codes"].get(t, [])]
-                               for t in EVENT_TYPES})
-                  for v in d["visits"]]
+                        codes=_code_lists(v["codes"], pid)) for v in d["visits"]]
         return cls(patient_id=pid, age_years=_as_number(demo["age_years"], pid, "age_years"),
                    sex=str(demo["sex"]), visits=visits, mortality=bool(mortality))
 
@@ -155,6 +153,13 @@ def _is_code(c) -> bool:
 def _as_code(c):
     """``c`` as an int if it is a code; else unchanged, for ``Visit.validate`` to reject."""
     return int(c) if _is_code(c) else c
+
+
+def _code_lists(codes, pid) -> dict:
+    """A visit's code lists by event type; else an error naming the patient."""
+    if not isinstance(codes, dict):
+        raise ValueError(f"patient {pid}: visit codes must be an object, got {codes!r}")
+    return {t: [_as_code(c) for c in codes.get(t, [])] for t in EVENT_TYPES}
 
 
 @dataclass

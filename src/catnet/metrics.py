@@ -29,11 +29,9 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     order = np.argsort(x, kind="mergesort")
     ranks = np.empty(x.shape[0], dtype=np.float64)
     sx = x[order]
-    boundaries = np.flatnonzero(np.diff(sx)) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [x.shape[0]]))
-    for s, e in zip(starts, ends):
-        ranks[order[s:e]] = 0.5 * (s + 1 + e)
+    starts = np.flatnonzero(np.r_[True, sx[1:] != sx[:-1]])   # first index of each run of ties
+    ends = np.r_[starts[1:], x.shape[0]]
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
     return ranks
 
 
@@ -74,18 +72,13 @@ def topk_recall(score_rows, label_rows, k: int):
     if score_rows.shape != label_rows.shape or score_rows.ndim != 2:
         raise ValueError(f"need matching 2-D scores/labels, got "
                          f"{score_rows.shape} and {label_rows.shape}")
-    recalls = []
-    skipped = 0
-    width = score_rows.shape[1]
-    for s, y in zip(score_rows, label_rows):
-        true = np.flatnonzero(y == 1.0)
-        if true.size == 0:
-            skipped += 1
-            continue
-        top = np.lexsort((np.arange(width), -s))[:k]
-        recalls.append(np.isin(true, top).sum() / true.size)
-    mean = float(np.mean(recalls)) if recalls else 0.0
-    return mean, len(recalls), skipped
+    true = label_rows == 1.0
+    scored = true.any(axis=1)
+    true, s = true[scored], score_rows[scored]
+    top = np.lexsort((np.broadcast_to(np.arange(s.shape[1]), s.shape), -s))[:, :k]
+    recall = np.take_along_axis(true, top, axis=1).sum(axis=1) / true.sum(axis=1)
+    mean = float(np.mean(recall)) if recall.size else 0.0
+    return mean, len(recall), len(scored) - len(recall)
 
 
 def evaluate_predictions(scores, labels, ks=TOPK_GRID) -> dict:

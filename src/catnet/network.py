@@ -154,11 +154,13 @@ class CatnetModel:
 
         Returns ``(probs, attention)``: ``attention`` is the
         :class:`~catnet.attention.BatchAttention` of every visit, patient after
-        patient, or None when cross-event attention is ablated.  In training
-        with ``dropout > 0``, one ``(V, input_width)`` inverted dropout mask is
-        drawn from ``rng`` over all visit vectors.
+        patient, or None when cross-event attention is ablated.  ``dropout`` lies
+        in [0, 1); in training with ``dropout > 0``, one ``(V, input_width)``
+        inverted dropout mask is drawn from ``rng`` over all visit vectors.
         """
         cfg = self.config
+        if not 0.0 <= dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {dropout!r}")
         drop_visits = train and dropout > 0.0
         if drop_visits and rng is None:
             raise ValueError("dropout in training needs an explicit rng (a numpy Generator); "

@@ -169,18 +169,18 @@ class TestFuseAndPredict:
 
     def test_all_zero_params_predict_half(self):
         hs, lengths = one([np.array([1.0, 2.0, 3.0])])
-        contexts, _ = visit_self_attention(hs, lengths)
+        pooled, _ = visit_self_attention(hs, lengths)
         gated, _ = global_time_gate(hs, [[0.0]], lengths, zero_gate_kernel(3))
-        y = fuse_and_predict(contexts, gated, np.array([[0.5, 1.0, 0.0]]), self.zero_head())
+        y = fuse_and_predict(pooled, gated, np.array([[0.5, 1.0, 0.0]]), self.zero_head())
         np.testing.assert_array_equal(y.data, 0.5)
 
     def test_single_visit_zero_gate_fuses_to_one_and_a_half(self):
         h = np.array([0.4, -1.0, 2.0])
         hs, lengths = one([h])
-        contexts, _ = visit_self_attention(hs, lengths)
+        pooled, _ = visit_self_attention(hs, lengths)
         gated, _ = global_time_gate(hs, [[0.0]], lengths, zero_gate_kernel(3))
-        fused = ad.add(contexts, gated)
-        np.testing.assert_allclose(fused.data[0, 0], 1.5 * h, rtol=1e-15)
+        fused = ad.add(pooled, ad.sum_over(gated, axis=1))
+        np.testing.assert_allclose(fused.data[0], 1.5 * h, rtol=1e-15)
 
     def test_identical_states_and_times_sum_to_t_times_first(self):
         rng = np.random.default_rng(5)
@@ -206,9 +206,9 @@ class TestFuseAndPredict:
         head.demo_b.data[...] = rng.uniform(-0.5, 0.5, demo_dim)
         head.out_b.data[...] = rng.uniform(-0.5, 0.5, n_targets)
 
-        contexts, _ = visit_self_attention(*one(hs))
+        pooled, _ = visit_self_attention(*one(hs))
         gated, _ = global_time_gate(make_states(hs), [deltas], [T], kernel)
-        y = fuse_and_predict(contexts, gated, demo[None], head)
+        y = fuse_and_predict(pooled, gated, demo[None], head)
 
         # independent straight-line evaluation on plain arrays
         H = np.stack(hs)
@@ -229,8 +229,8 @@ class TestFuseAndPredict:
     def test_probabilities_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(7)
         head = HeadParams.init(3, 2, 3, 6, rng)
-        contexts, _ = visit_self_attention(*one([rng.uniform(-5, 5, 3) for _ in range(2)]))
-        y = fuse_and_predict(contexts, None, rng.uniform(0, 1, (1, 3)), head)
+        pooled, _ = visit_self_attention(*one([rng.uniform(-5, 5, 3) for _ in range(2)]))
+        y = fuse_and_predict(pooled, None, rng.uniform(0, 1, (1, 3)), head)
         assert np.all(y.data > 0.0) and np.all(y.data < 1.0)
 
     def test_demographics_encoding_is_linear(self):

@@ -58,6 +58,47 @@ def make_case(vocab, codes, embed_dim=4, seed=0, interval=None):
     return embeddings, build_token_set(visit, embeddings, interval)
 
 
+def reference_tokens(visit, embeddings, interval, types):
+    """(type id, code, row) of one visit's tokens: codes by (type, embedding bytes, list
+    position), then the interval token with code 0."""
+    keyed = sorted((tid, embeddings.tables[etype].data[c].tobytes(), pos, c)
+                   for tid, etype in enumerate(EVENT_TYPES) if etype in types
+                   for pos, c in enumerate(visit.codes_for(etype)))
+    return ([(tid, c, embeddings.tables[EVENT_TYPES[tid]].data[c]) for tid, _, _, c in keyed]
+            + [(len(EVENT_TYPES), 0, interval)])
+
+
+def test_token_layout_matches_per_visit_reference():
+    vocab = VocabSpec(med=6, diag=3, lab=4, proc=2)
+    rng = np.random.default_rng(20)
+    embeddings = CodeEmbeddings.init(vocab, 4, rng)
+    med = embeddings.tables["med"].data
+    med[3] = med[1]                                  # two codes of one type, equal embeddings
+    intervals = rng.uniform(-0.1, 0.1, (5, 4))
+    visits = [Visit(0.0, {"med": [0, 1, 3, 5], "diag": [2], "lab": [0, 2], "proc": [1]}),
+              Visit(1.0, {"med": [], "diag": [], "lab": [], "proc": []}),
+              Visit(2.0, {"med": [1, 3], "diag": [], "lab": [3], "proc": []}),
+              Visit(3.0, {"med": [], "diag": [0, 1], "lab": [], "proc": [0]}),
+              Visit(4.0, {"med": [2, 4], "diag": [], "lab": [1, 2, 3], "proc": [0, 1]})]
+    for types in (EVENT_TYPES, ("med", "lab")):
+        tokens = build_token_batch(visits, embeddings, ad.tensor(intervals), types)
+        expected = [reference_tokens(visit, embeddings, intervals[v], types)
+                    for v, visit in enumerate(visits)]
+        width = max(len(rows) for rows in expected)
+        assert tokens.type_ids.shape == tokens.codes.shape == (len(visits), width)
+        assert tokens.values.shape == (len(visits), width, 4)
+        assert tokens.n_tokens == sum(len(rows) for rows in expected)
+        for v, rows in enumerate(expected):
+            n = len(rows)
+            assert tokens.type_ids[v, :n].tolist() == [tid for tid, _, _ in rows]
+            assert tokens.codes[v, :n].tolist() == [c for _, c, _ in rows]
+            np.testing.assert_array_equal(tokens.values.data[v, :n], np.stack([r for *_, r in rows]))
+            assert (tokens.type_ids[v, n:] == -1).all() and (tokens.codes[v, n:] == 0).all()
+            assert tokens.values.data[v, n:].tobytes() == bytes(8 * 4 * (width - n))
+    # the reference is not code-list order: bytes decide, list position breaks the tie
+    assert [c for tid, c, _ in expected[0] if tid == 0] == [1, 3, 5, 0]
+
+
 def test_identical_embeddings_attend_uniformly():
     vocab = VocabSpec(med=1, diag=0, lab=0, proc=0)
     embeddings = CodeEmbeddings.init(vocab, 3, np.random.default_rng(0))

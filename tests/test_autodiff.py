@@ -87,6 +87,22 @@ def test_second_backward_on_same_loss_rejected():
             ad.backward(loss)
 
 
+def test_op_after_inner_tape_exits_lands_on_outer_tape():
+    x = ad.parameter([0.5, -1.0])
+    with ad.Tape():
+        before = ad.tanh(x)
+        with ad.Tape():
+            inner_loss = ad.sum_over(ad.tanh(x))
+        loss = ad.sum_over(ad.add(before, ad.tanh(x)))      # recorded after the inner tape exits
+    ad.backward(loss)
+    np.testing.assert_allclose(x.grad, 2 * (1 - np.tanh(x.data) ** 2), rtol=1e-15)
+    x.grad = None
+    ad.backward(inner_loss)                                  # the inner tape kept its own record
+    np.testing.assert_allclose(x.grad, 1 - np.tanh(x.data) ** 2, rtol=1e-15)
+    with pytest.raises(ValueError, match="not recorded on a tape"):
+        ad.backward(ad.sum_over(x))                          # no tape is active after both exit
+
+
 def test_backward_rejects_non_tensor():
     with pytest.raises(TypeError, match="Tensor"):
         ad.backward(1.0)

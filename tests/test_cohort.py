@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -121,6 +122,20 @@ class TestValidation:
         lines[1] = lines[1].replace('"med":[', f'"med":[{code},', 1)
         data.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=message):
+            load_dataset(str(data))
+
+    @pytest.mark.parametrize("codes, shown", [([1, 2], r"\[1, 2\]"), ("med", "'med'"),
+                                              (None, "None")], ids=["list", "string", "null"])
+    def test_visit_codes_not_an_object_rejected_on_load(self, tmp_path, vocab, codes, shown):
+        data = tmp_path / "cohort.jsonl"
+        save_dataset(make_cohort(3), vocab, str(data))
+        lines = data.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["visits"][0]["codes"] = codes
+        lines[1] = json.dumps(record)
+        data.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"cohort\.jsonl:2: malformed record: patient p1: "
+                                             rf"visit codes must be an object, got {shown}$"):
             load_dataset(str(data))
 
     @pytest.mark.parametrize("value, shown", [("null", "None"), ('"old"', "'old'"),

@@ -121,6 +121,7 @@ class TestEvaluatePredictions:
 class TestAgainstBruteForce:
     def test_two_hundred_random_cases_including_ties(self):
         rng = np.random.default_rng(99)
+        multi = np.random.default_rng(100)     # multi-row top-k cases, apart from the single rows
         for case in range(200):
             n = int(rng.integers(4, 40))
             if case % 3 == 0:
@@ -141,6 +142,20 @@ class TestAgainstBruteForce:
             true_set = set(np.flatnonzero(labels == 1.0).tolist())
             got, _, _ = topk_recall(scores[None, :], labels[None, :], k)
             assert abs(got - topk_brute(list(scores), true_set, k)) <= 1e-12
+
+            n_rows, width = int(multi.integers(2, 9)), int(multi.integers(1, 30))
+            if case % 2 == 0:
+                score_rows = multi.integers(0, 4, (n_rows, width)).astype(float) / 3.0
+            else:
+                score_rows = multi.random((n_rows, width))
+            label_rows = (multi.random((n_rows, width)) < 0.3).astype(float)
+            label_rows[int(multi.integers(0, n_rows))] = 0.0     # a row without positives
+            k = int(multi.integers(1, width + 2))
+            wanted = [topk_brute(list(s), set(np.flatnonzero(y == 1.0).tolist()), k)
+                      for s, y in zip(score_rows, label_rows) if y.any()]
+            got, scored, skipped = topk_recall(score_rows, label_rows, k)
+            assert (scored, skipped) == (len(wanted), n_rows - len(wanted))
+            assert abs(got - (sum(wanted) / len(wanted) if wanted else 0.0)) <= 1e-12
 
 
 class TestInvariances:

@@ -136,6 +136,13 @@ def test_dropout_in_training_requires_an_rng():
     assert a.item() == b.item()
 
 
+@pytest.mark.parametrize("dropout", [1.0, -0.5, 1.5, float("nan")])
+def test_dropout_outside_unit_interval_rejected(dropout):
+    model, instances = build(tiny_config(), seed=4)
+    with pytest.raises(ValueError, match=rf"dropout must be in \[0, 1\), got {dropout}$"):
+        model.forward_batch(instances, train=True, dropout=dropout, rng=np.random.default_rng(0))
+
+
 def test_empty_batch_rejected():
     model, _ = build(tiny_config())
     with pytest.raises(ValueError, match="forward_batch: empty batch"):
