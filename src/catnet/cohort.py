@@ -7,9 +7,11 @@ loading and are safe to share across threads for reading.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import numbers
+import operator
 import os
 from dataclasses import dataclass
 
@@ -59,21 +61,23 @@ class Visit:
     codes: dict
 
     def validate(self, vocab: VocabSpec, owner: str = "?"):
-        if not (np.isfinite(self.time_days) and self.time_days >= 0):
+        if not (math.isfinite(self.time_days) and self.time_days >= 0):
             raise ValueError(f"patient {owner}: visit time must be finite and >= 0")
         for etype in EVENT_TYPES:
             lst = self.codes.get(etype, [])
+            if not len(lst):
+                continue
             for c in lst:
-                if not _is_code(c):
+                if type(c) is not int and not _is_code(c):
                     raise ValueError(f"patient {owner}: non-integer {etype} code {c!r}")
-            if list(lst) != sorted(set(int(c) for c in lst)):
+            if not all(map(operator.lt, lst, lst[1:])):
                 raise ValueError(
                     f"patient {owner}: {etype} codes must be sorted and duplicate-free")
-            for c in lst:
-                if not 0 <= c < vocab.size(etype):
-                    raise ValueError(
-                        f"patient {owner}: {etype} code {c} outside vocab of size "
-                        f"{vocab.size(etype)}")
+            # Sorted, so only the ends can fall outside; name the first such code in the list.
+            size = vocab.size(etype)
+            if lst[0] < 0 or lst[-1] >= size:
+                c = lst[0] if lst[0] < 0 else lst[bisect.bisect_left(lst, size)]
+                raise ValueError(f"patient {owner}: {etype} code {c} outside vocab of size {size}")
 
     def codes_for(self, event_type: str):
         return self.codes.get(event_type, [])
@@ -98,7 +102,7 @@ class PatientRecord:
         if len(self.visits) < 2:
             raise ValueError(f"patient {pid}: records need at least two visits")
         times = [v.time_days for v in self.visits]
-        if any(b <= a for a, b in zip(times, times[1:])):
+        if any(map(operator.le, times[1:], times)):
             raise ValueError(f"patient {pid}: visit times must be strictly increasing")
         for v in self.visits:
             v.validate(vocab, owner=pid)
@@ -159,7 +163,8 @@ def _code_lists(codes, pid) -> dict:
     """A visit's code lists by event type; else an error naming the patient."""
     if not isinstance(codes, dict):
         raise ValueError(f"patient {pid}: visit codes must be an object, got {codes!r}")
-    return {t: [_as_code(c) for c in codes.get(t, [])] for t in EVENT_TYPES}
+    return {t: [c if type(c) is int else _as_code(c) for c in codes.get(t, [])]
+            for t in EVENT_TYPES}
 
 
 @dataclass
@@ -206,12 +211,12 @@ class TaskSpec:
 
 def derive_intervals(record: PatientRecord) -> IntervalView:
     """Backward-looking gaps: delta_prev[0] = 0, delta_global[i] = t_i - t_1."""
-    times = np.array([v.time_days for v in record.visits], dtype=np.float64)
-    if np.any(np.diff(times) <= 0):
+    times = [v.time_days for v in record.visits]
+    if any(map(operator.le, times[1:], times)):
         raise ValueError(f"patient {record.patient_id}: visit times must be strictly increasing")
-    delta_prev = np.diff(times, prepend=times[0])
-    delta_global = times - times[0]
-    return IntervalView(delta_prev_days=delta_prev, delta_global_days=delta_global)
+    t = np.array(times, dtype=np.float64)
+    return IntervalView(delta_prev_days=np.concatenate(([0.0], t[1:] - t[:-1])),
+                        delta_global_days=t - t[0])
 
 
 def extract_task_instances(record: PatientRecord, task: TaskSpec, vocab: VocabSpec):

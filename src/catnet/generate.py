@@ -10,12 +10,16 @@ model must find to predict the effect codes.
 
 Generation is a pure function of (config, seed): patient ``i`` draws from its
 own Philox counter-based stream keyed by (seed, i), so patients can be
-generated independently and in parallel without changing the output.
+generated independently and in parallel without changing the output.  A stream
+is read in one order, which fixes the cohort's bytes: sex, age, the continue
+draws, the start time; per visit one ``random(n_codes)`` over all codes in
+``EVENT_TYPES`` order, then one lognormal gap; last, mortality.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,6 +87,12 @@ class GenConfig:
     mortality_weight: float = 0.55
 
     def __post_init__(self):
+        for name in ("n_patients", "min_visits", "max_visits"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.n_patients < 1:
+            raise ValueError(f"n_patients must be at least 1, got {self.n_patients}")
         if self.min_visits < 2:
             raise ValueError("min_visits must be at least 2")
         if self.max_visits < self.min_visits:
@@ -134,8 +144,8 @@ def _patient_stream(seed: int, index: int) -> Generator:
     return Generator(Philox(key=((seed & _MASK64) << 64) | (index & _MASK64)))
 
 
-def _generate_patient(config: GenConfig, seed: int, index: int,
-                      base_logits: dict) -> PatientRecord:
+def _generate_patient(config: GenConfig, seed: int, index: int, base_logits: np.ndarray,
+                      offsets: np.ndarray, local_codes: np.ndarray, rules: list) -> PatientRecord:
     rng = _patient_stream(seed, index)
     sex = "F" if rng.random() < 0.5 else "M"
     age = round(float(rng.uniform(20.0, 90.0)), 1)
@@ -146,22 +156,20 @@ def _generate_patient(config: GenConfig, seed: int, index: int,
 
     time = round(float(rng.uniform(0.0, 30.0)), 6)
     visits = []
-    prev_codes = None
+    present = np.zeros(base_logits.shape[0], dtype=bool)
     prev_gap = 0.0
     for _ in range(n_visits):
-        codes = {}
-        for etype in EVENT_TYPES:
-            logits = base_logits[etype].copy()
-            if prev_codes is not None:
-                for rule in config.rules:
-                    if rule.effect_type == etype \
-                            and rule.trigger_code in prev_codes[rule.trigger_type]:
-                        logits[rule.effect_code] += rule.log_odds_at(prev_gap)
-            probs = 1.0 / (1.0 + np.exp(-logits))
-            present = rng.random(logits.shape[0]) < probs
-            codes[etype] = np.flatnonzero(present).tolist()
-        visits.append(Visit(time_days=time, codes=codes))
-        prev_codes = {t: set(codes[t]) for t in EVENT_TYPES}
+        logits = base_logits.copy()
+        for rule, trigger, effect in rules:
+            if present[trigger]:
+                logits[effect] += rule.log_odds_at(prev_gap)
+        # One draw over every code; `offsets` then splits the present ones by type.
+        present = rng.random(logits.shape[0]) < 1.0 / (1.0 + np.exp(-logits))
+        flat = present.nonzero()[0]
+        bounds = flat.searchsorted(offsets).tolist()
+        codes = local_codes[flat].tolist()
+        visits.append(Visit(time_days=time, codes={
+            etype: codes[lo:hi] for etype, lo, hi in zip(EVENT_TYPES, bounds, bounds[1:])}))
         gap = max(float(rng.lognormal(config.gap_log_mu, config.gap_log_sigma)),
                   _MIN_GAP_DAYS)
         prev_gap = round(gap, 6)
@@ -181,11 +189,15 @@ def _generate_patient(config: GenConfig, seed: int, index: int,
 
 def generate(config: GenConfig, seed: int):
     """Deterministic cohort for (config, seed); returns (records, vocab)."""
-    base_logits = {etype: np.array([_logit(p) for p in config.prevalence(etype)])
-                   for etype in EVENT_TYPES}
-    records = [_generate_patient(config, seed, i, base_logits)
-               for i in range(config.n_patients)]
     vocab = config.vocab()
+    base_logits = np.array([_logit(p) for etype in EVENT_TYPES for p in config.prevalence(etype)])
+    offsets = np.cumsum([0] + [vocab.size(etype) for etype in EVENT_TYPES])
+    local_codes = np.arange(offsets[-1]) - np.repeat(offsets[:-1], np.diff(offsets))
+    start = dict(zip(EVENT_TYPES, offsets.tolist()))
+    rules = [(rule, start[rule.trigger_type] + rule.trigger_code,
+              start[rule.effect_type] + rule.effect_code) for rule in config.rules]
+    records = [_generate_patient(config, seed, i, base_logits, offsets, local_codes, rules)
+               for i in range(config.n_patients)]
     for rec in records:
         rec.validate(vocab)
     return records, vocab

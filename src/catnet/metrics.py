@@ -4,7 +4,8 @@ All metrics are micro-averaged: every (instance, code) score/label pair is
 pooled before computing AUC or average precision.  Ties are handled
 explicitly: AUC counts a tied positive/negative pair as half a win, while
 average precision and top-k recall order tied scores by ascending index so
-results are deterministic.
+results are deterministic.  Every metric rejects scores that are NaN or
+infinite, naming itself in the error.
 """
 
 from __future__ import annotations
@@ -14,8 +15,15 @@ import numpy as np
 TOPK_GRID = (10, 20, 30, 40, 50)
 
 
-def _flat(scores, labels):
-    s = np.asarray(scores, dtype=np.float64).reshape(-1)
+def _finite(scores, metric: str) -> np.ndarray:
+    s = np.asarray(scores, dtype=np.float64)
+    if not np.all(np.isfinite(s)):
+        raise ValueError(f"{metric}: scores must be finite, got {s[~np.isfinite(s)][0]}")
+    return s
+
+
+def _flat(scores, labels, metric: str):
+    s = _finite(scores, metric).reshape(-1)
     y = np.asarray(labels, dtype=np.float64).reshape(-1)
     if s.shape != y.shape:
         raise ValueError(f"scores shape {s.shape} != labels shape {y.shape}")
@@ -37,7 +45,7 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
 
 def auc(scores, labels) -> float:
     """Probability a positive outranks a negative, ties counting half."""
-    s, y = _flat(scores, labels)
+    s, y = _flat(scores, labels, "auc")
     n_pos = int(y.sum())
     n_neg = y.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -49,7 +57,7 @@ def auc(scores, labels) -> float:
 
 def average_precision(scores, labels) -> float:
     """Mean precision at the rank of each positive, ties broken by index."""
-    s, y = _flat(scores, labels)
+    s, y = _flat(scores, labels, "average_precision")
     n_pos = int(y.sum())
     if n_pos == 0:
         raise ValueError("average precision undefined: no positives")
@@ -67,7 +75,7 @@ def topk_recall(score_rows, label_rows, k: int):
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    score_rows = np.asarray(score_rows, dtype=np.float64)
+    score_rows = _finite(score_rows, "topk_recall")
     label_rows = np.asarray(label_rows, dtype=np.float64)
     if score_rows.shape != label_rows.shape or score_rows.ndim != 2:
         raise ValueError(f"need matching 2-D scores/labels, got "

@@ -85,6 +85,32 @@ class TestValidation:
         with pytest.raises(ValueError, match="sorted"):
             rec.validate(vocab)
 
+    @pytest.mark.parametrize("codes, named", [([1, 12, 13], 12), ([-1, 3], -1),
+                                              ([-2, 5, 30], -2), ([11, 12], 12)])
+    def test_first_out_of_vocab_code_in_list_order_named(self, codes, named):
+        rec = make_record()
+        rec.visits[1].codes["med"] = codes
+        with pytest.raises(ValueError) as err:
+            rec.validate(VocabSpec(med=12, diag=3, lab=2, proc=1))
+        assert str(err.value) == f"patient p0: med code {named} outside vocab of size 12"
+
+    @pytest.mark.parametrize("codes, shown", [([3, 1.5], "1.5"), (["x", 2, 1], "'x'"),
+                                              ([5, 2, 99, 2.5], "2.5")])
+    def test_non_integer_reported_before_unsorted_and_range(self, vocab, codes, shown):
+        rec = make_record()
+        rec.visits[0].codes["diag"] = codes
+        with pytest.raises(ValueError) as err:
+            rec.validate(vocab)
+        assert str(err.value) == f"patient p0: non-integer diag code {shown}"
+
+    @pytest.mark.parametrize("codes", [[0, 0], [1, 3, 2], [2, 2.0]])
+    def test_unsorted_reported_before_range(self, codes):
+        rec = make_record()
+        rec.visits[0].codes["med"] = [*codes, 50]
+        with pytest.raises(ValueError) as err:
+            rec.validate(VocabSpec(med=4, diag=3, lab=2, proc=1))
+        assert str(err.value) == "patient p0: med codes must be sorted and duplicate-free"
+
     def test_non_increasing_times_rejected(self, vocab):
         rec = make_record(times=(3.0, 3.0))
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -241,6 +267,15 @@ class TestIntervals:
         b = derive_intervals(make_record(times=shifted))
         np.testing.assert_allclose(a.delta_prev_days, b.delta_prev_days, atol=1e-9)
         np.testing.assert_allclose(a.delta_global_days, b.delta_global_days, atol=1e-9)
+
+    def test_same_bits_as_diff_with_prepend(self):
+        rng = np.random.default_rng(23)
+        for n in (1, 2, 3, 7, 40):
+            for scale in (0.01, 1.0, 1e4):
+                times = np.cumsum(rng.uniform(0.05, 30.0, n) * scale) + rng.uniform(0, 1e3)
+                iv = derive_intervals(make_record(times=tuple(times.tolist())))
+                assert iv.delta_prev_days.tobytes() == np.diff(times, prepend=times[0]).tobytes()
+                assert iv.delta_global_days.tobytes() == (times - times[0]).tobytes()
 
     def test_bad_times_rejected(self):
         rec = make_record()

@@ -1,9 +1,12 @@
 import dataclasses
+import hashlib
 import math
 
+import numpy as np
 import pytest
 
-from catnet.generate import GenConfig, conditional_effect_probability, generate
+from catnet.cohort import EVENT_TYPES, save_dataset
+from catnet.generate import GenConfig, PlantedRule, conditional_effect_probability, generate
 
 
 def as_dicts(records):
@@ -62,3 +65,60 @@ def test_wrong_length_prevalence_rejected_at_construction():
     without_lab = {etype: p for etype, p in standard.items() if etype != "lab"}
     with pytest.raises(ValueError, match="lab: 0 prevalences for 8 codes"):
         GenConfig(base_prevalence=without_lab)
+
+
+def _long_sparse():
+    base = GenConfig.default()
+    return dataclasses.replace(
+        base, n_patients=200, max_visits=48, continue_prob=0.95,
+        base_prevalence={t: list(base.prevalence(t) * 0.2) for t in EVENT_TYPES})
+
+
+def _stacked_rules():
+    """Two rules on med:0, and a proc -> proc rule whose trigger and effect share a type."""
+    return dataclasses.replace(GenConfig.default(), n_patients=200, rules=[
+        PlantedRule("diag", 0, "med", 0, boost=14.0, halflife_days=30.0),
+        PlantedRule("lab", 3, "med", 0, boost=5.0, halflife_days=10.0),
+        PlantedRule("proc", 1, "proc", 4, boost=8.0, halflife_days=20.0)])
+
+
+# sha256 of the saved JSONL at seed 7919.  The per-patient stream layout in the
+# generate docstring decides these bytes; a change that moves them changes every cohort.
+GOLDEN_COHORTS = {
+    "default-200": (lambda: dataclasses.replace(GenConfig.default(), n_patients=200),
+                    "3d4052dadd634a54bf119f021cd71933ea3030eafce3dc944aa5e0d7b99f73d5"),
+    "long-sparse-200": (_long_sparse,
+                        "f06e565a865b89b944bd1562a2454b604832e54c40e7f55a45cbf5c354aa7336"),
+    "stacked-rules-200": (_stacked_rules,
+                          "1260dd7ee27845dce411c70176eb41a2b4fcf1b1e8fabe09ebfdae476b3f5000"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COHORTS))
+def test_saved_cohort_bytes_are_pinned(tmp_path, name):
+    make_config, expected = GOLDEN_COHORTS[name]
+    records, vocab = generate(make_config(), 7919)
+    data = tmp_path / "cohort.jsonl"
+    save_dataset(records, vocab, str(data), str(tmp_path / "vocab.json"))
+    assert hashlib.sha256(data.read_bytes()).hexdigest() == expected
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("n_patients", 2.5, "n_patients must be an integer, got 2.5"),
+    ("n_patients", True, "n_patients must be an integer, got True"),
+    ("n_patients", -3, "n_patients must be at least 1, got -3"),
+    ("n_patients", 0, "n_patients must be at least 1, got 0"),
+    ("min_visits", 2.0, "min_visits must be an integer, got 2.0"),
+    ("max_visits", 3.5, "max_visits must be an integer, got 3.5"),
+], ids=["n_patients-float", "n_patients-bool", "n_patients-negative", "n_patients-zero",
+        "min_visits-float", "max_visits-float"])
+def test_integer_fields_checked_at_construction(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        dataclasses.replace(GenConfig.default(), **{field: value})
+
+
+def test_numpy_integer_fields_accepted():
+    config = dataclasses.replace(GenConfig.default(), n_patients=np.int64(3),
+                                 max_visits=np.int32(4))
+    records, _ = generate(config, 7919)
+    assert len(records) == 3 and all(2 <= len(rec.visits) <= 4 for rec in records)

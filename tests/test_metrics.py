@@ -185,3 +185,15 @@ class TestInvariances:
         by_list = auc([p[0] for p in flat_pairs], [p[1] for p in flat_pairs])
         assert by_matrix == by_list
 
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name, call", [
+    ("auc", lambda s: auc(s, [1, 0, 0, 1])),
+    ("average_precision", lambda s: average_precision(s, [1, 0, 0, 1])),
+    ("topk_recall", lambda s: topk_recall([s], [[1, 0, 0, 1]], 2)),
+    ("auc", lambda s: evaluate_predictions([s], [[1, 0, 0, 1]])),
+], ids=["auc", "average_precision", "topk_recall", "evaluate_predictions"])
+def test_non_finite_scores_rejected_naming_the_metric(name, call, bad):
+    with pytest.raises(ValueError, match=f"^{name}: scores must be finite, got {bad}$"):
+        call([0.3, bad, 0.2, 0.9])
