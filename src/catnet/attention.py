@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from catnet import autodiff as ad
-from catnet.cohort import EVENT_TYPES, VocabSpec
+from catnet.cohort import EVENT_TYPES, MODES, VocabSpec
 
 _TOKEN_TYPES = EVENT_TYPES + ("time",)  # token type ids index this; padding is -1
 _TIME_ID = len(EVENT_TYPES)
@@ -47,13 +47,12 @@ class CodeEmbeddings:
     """One learnable embedding table per event type, vocab-size x embed_dim."""
 
     tables: dict
-    embed_dim: int
 
     @classmethod
     def init(cls, vocab: VocabSpec, embed_dim: int, rng: np.random.Generator):
         tables = {etype: ad.parameter(rng.uniform(-0.1, 0.1, (max(vocab.size(etype), 1), embed_dim)))
                   for etype in EVENT_TYPES}
-        return cls(tables=tables, embed_dim=embed_dim)
+        return cls(tables=tables)
 
     def named(self) -> dict:
         return {f"emb_{etype}": self.tables[etype] for etype in EVENT_TYPES}
@@ -103,10 +102,10 @@ def build_token_set(visits, embeddings: CodeEmbeddings, interval_tokens: ad.Tens
     bases = np.cumsum([1] + [t.shape[0] for t in tables])
     rows = np.r_[bases[code_types] + codes, bases[_TIME_ID] + np.arange(n_visits), 0]
     codes = np.r_[codes, np.zeros(n_visits + 1, dtype=np.intp)]
-    table = ad.concat([ad.tensor(np.zeros((1, embeddings.embed_dim))), *tables, interval_tokens],
-                      axis=0)
+    embed_dim = tables[0].shape[1]
+    table = ad.concat([ad.tensor(np.zeros((1, embed_dim))), *tables, interval_tokens], axis=0)
     # within a type, tokens in the order of their bytes, which no code label can change
-    rank = np.unique(table.data.view((np.void, table.data.itemsize * embeddings.embed_dim))[:, 0],
+    rank = np.unique(table.data.view((np.void, table.data.itemsize * embed_dim))[:, 0],
                      return_inverse=True)[1]
     order = np.lexsort((rank[rows], type_ids, visit))      # the sentinel sorts last
     counts = np.bincount(visit)[:-1]
@@ -188,8 +187,8 @@ def attend(tokens: TokenBatch, mode: str, primary: str = None, *, vocab: VocabSp
     the concatenation of per-slot outputs of each visit, and ``attention`` a
     :class:`BatchAttention`.
     """
-    if mode not in ("task-aware", "task-unaware"):
-        raise ValueError(f"unknown attention mode {mode!r}")
+    if mode not in MODES:
+        raise ValueError(f"unknown attention mode {mode!r}; expected one of {MODES}")
     if mode == "task-aware" and primary not in EVENT_TYPES:
         raise ValueError("task-aware attention requires a primary event type")
 

@@ -43,9 +43,11 @@ after another in index order (:func:`sum_over`, :func:`stable_softmax`,
 that needs a sum independent of the order of its terms puts them in a fixed
 order first, as cross-event attention does with each visit's tokens.
 
-Tensors are immutable after creation except for their ``grad`` buffer.  A tape
-and the tensors recorded on it belong to a single thread; independent tapes on
-different threads do not interact.
+An op result's ``data`` is never written after creation.  :func:`backward`
+fills ``grad`` buffers, and optimizers and
+:meth:`~catnet.network.CatnetModel.load_state_arrays` write parameters'
+``data`` in place.  A tape and the tensors recorded on it belong to a single
+thread; independent tapes on different threads do not interact.
 """
 
 from __future__ import annotations
@@ -110,9 +112,6 @@ class Tensor:
 
     def item(self):
         return float(self.data)
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"

@@ -27,8 +27,7 @@ import numpy as np
 
 from catnet import autodiff as ad
 
-_GRU_GATES = ("z", "r", "h")
-_LSTM_GATES = ("i", "f", "o", "g")
+GATES = {"gru": ("z", "r", "h"), "lstm": ("i", "f", "o", "g")}  # gate names per backbone kind
 
 
 @dataclass
@@ -36,23 +35,20 @@ class RecurrentParams:
     """Gate weights for one cell: per gate, input map, state map, and bias."""
 
     kind: str
-    input_dim: int
-    hidden_dim: int
     weights: dict
 
     @classmethod
     def init(cls, kind: str, input_dim: int, hidden_dim: int, rng: np.random.Generator):
-        if kind not in ("gru", "lstm"):
-            raise ValueError(f"unknown backbone kind {kind!r}; expected 'gru' or 'lstm'")
-        gates = _GRU_GATES if kind == "gru" else _LSTM_GATES
+        if kind not in GATES:
+            raise ValueError(f"unknown backbone kind {kind!r}; expected one of {tuple(GATES)}")
         bound_w = np.sqrt(6.0 / (input_dim + hidden_dim))
         bound_u = np.sqrt(6.0 / (2 * hidden_dim))
         weights = {}
-        for gate in gates:
+        for gate in GATES[kind]:
             weights[f"w{gate}"] = ad.parameter(rng.uniform(-bound_w, bound_w, (hidden_dim, input_dim)))
             weights[f"u{gate}"] = ad.parameter(rng.uniform(-bound_u, bound_u, (hidden_dim, hidden_dim)))
             weights[f"b{gate}"] = ad.parameter(np.zeros(hidden_dim))
-        return cls(kind=kind, input_dim=input_dim, hidden_dim=hidden_dim, weights=weights)
+        return cls(kind=kind, weights=weights)
 
     def named(self, prefix: str = "rnn") -> dict:
         return {f"{prefix}_{name}": t for name, t in self.weights.items()}
@@ -71,15 +67,15 @@ def run_sequence(inputs: ad.Tensor, lengths, params: RecurrentParams) -> ad.Tens
             or lengths.sum() != inputs.shape[0]:
         raise ValueError(f"sequence lengths {lengths.tolist()} do not split "
                          f"{inputs.shape[0]} input rows")
-    if inputs.data.ndim != 2 or inputs.shape[1] != params.input_dim:
-        raise ValueError(f"run_sequence: input shape mismatch {inputs.shape} vs "
-                         f"(V, {params.input_dim})")
+    w = params.weights
+    gates = GATES[params.kind]
+    width = w[f"w{gates[0]}"].shape[1]
+    if inputs.data.ndim != 2 or inputs.shape[1] != width:
+        raise ValueError(f"run_sequence: input shape mismatch {inputs.shape} vs (V, {width})")
     mask = step_mask(lengths)
     n_seq, n_steps = mask.shape
     # row of step t of sequence b, time-major; padding reads row 0 and is zeroed below
     rows = np.where(mask.T, np.cumsum(lengths) - lengths + np.arange(n_steps)[:, None], 0)
-    w = params.weights
-    gates = _GRU_GATES if params.kind == "gru" else _LSTM_GATES
     projected = [ad.take_row(ad.linear(inputs, w[f"w{g}"], w[f"b{g}"]), rows) for g in gates]
     return _recurrence(params.kind, projected, [w[f"u{g}"] for g in gates], mask)
 

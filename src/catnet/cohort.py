@@ -20,6 +20,7 @@ import numpy as np
 EVENT_TYPES = ("med", "diag", "lab", "proc")
 TASKS = EVENT_TYPES + ("mortality",)
 MODES = ("task-aware", "task-unaware")
+DEMOGRAPHICS_DIM = 3  # width of PatientRecord.demographics_vector
 
 
 @dataclass
@@ -108,7 +109,7 @@ class PatientRecord:
             v.validate(vocab, owner=pid)
 
     def demographics_vector(self) -> np.ndarray:
-        """Raw demographic features: (age/100, female one-hot, male one-hot)."""
+        """``DEMOGRAPHICS_DIM`` raw features: (age/100, female one-hot, male one-hot)."""
         return np.array([self.age_years / 100.0,
                          1.0 if self.sex == "F" else 0.0,
                          1.0 if self.sex == "M" else 0.0])

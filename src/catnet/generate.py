@@ -27,7 +27,6 @@ from numpy.random import Generator, Philox
 
 from catnet.cohort import EVENT_TYPES, PatientRecord, Visit, VocabSpec
 
-_MASK64 = (1 << 64) - 1
 _MIN_GAP_DAYS = 0.05
 
 
@@ -61,14 +60,11 @@ class GenConfig:
 
     The defaults are the standard benchmark cohort: three diag->med rules with
     a 30-day decay.  ``base_prevalence`` holds one list per event type, one
-    entry per code.
+    entry per code, and so fixes the vocabulary: a type has as many codes as
+    its list has entries.
     """
 
     n_patients: int = 2000
-    med: int = 12
-    diag: int = 10
-    lab: int = 8
-    proc: int = 6
     min_visits: int = 2
     max_visits: int = 12
     continue_prob: float = 0.55
@@ -101,24 +97,27 @@ class GenConfig:
             raise ValueError("continue_prob must lie in [0, 1]")
         if self.gap_log_sigma <= 0.0:
             raise ValueError("gap_log_sigma must be positive")
+        missing = [t for t in EVENT_TYPES if t not in self.base_prevalence]
+        extra = [t for t in self.base_prevalence if t not in EVENT_TYPES]
+        if missing or extra:
+            raise ValueError(f"base_prevalence needs one list per event type {EVENT_TYPES}; "
+                             f"missing {missing}, extra {extra}")
+        for etype in EVENT_TYPES:
+            values = self.prevalence(etype)
+            if values.ndim != 1 or np.any((values < 0) | (values > 1)):
+                raise ValueError(f"base prevalence for {etype} must be a list of values in [0, 1]")
         vocab = self.vocab()
         for rule in self.rules:
             for etype, code in ((rule.trigger_type, rule.trigger_code),
                                 (rule.effect_type, rule.effect_code)):
                 if not 0 <= code < vocab.size(etype):
                     raise ValueError(f"rule code {etype}:{code} outside vocabulary")
-        for etype in EVENT_TYPES:
-            values = self.prevalence(etype)
-            if values.shape != (vocab.size(etype),):
-                raise ValueError(f"{etype}: {values.size} prevalences for {vocab.size(etype)} codes")
-            if np.any((values < 0) | (values > 1)):
-                raise ValueError(f"base prevalence for {etype} outside [0, 1]")
 
     def vocab(self) -> VocabSpec:
-        return VocabSpec(med=self.med, diag=self.diag, lab=self.lab, proc=self.proc)
+        return VocabSpec(**{etype: len(self.base_prevalence[etype]) for etype in EVENT_TYPES})
 
     def prevalence(self, etype: str) -> np.ndarray:
-        return np.asarray(self.base_prevalence.get(etype, ()), dtype=np.float64)
+        return np.asarray(self.base_prevalence[etype], dtype=np.float64)
 
     @classmethod
     def default(cls) -> "GenConfig":
@@ -141,7 +140,7 @@ def conditional_effect_probability(rule: PlantedRule, base_p: float, gap_days: f
 
 
 def _patient_stream(seed: int, index: int) -> Generator:
-    return Generator(Philox(key=((seed & _MASK64) << 64) | (index & _MASK64)))
+    return Generator(Philox(key=(seed << 64) | index))
 
 
 def _generate_patient(config: GenConfig, seed: int, index: int, base_logits: np.ndarray,
@@ -188,7 +187,13 @@ def _generate_patient(config: GenConfig, seed: int, index: int, base_logits: np.
 
 
 def generate(config: GenConfig, seed: int):
-    """Deterministic cohort for (config, seed); returns (records, vocab)."""
+    """Deterministic cohort for (config, seed); returns (records, vocab).
+
+    ``seed`` is an integer in [0, 2**64), the high half of each patient's Philox key.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    seed = int(seed)
     vocab = config.vocab()
     base_logits = np.array([_logit(p) for etype in EVENT_TYPES for p in config.prevalence(etype)])
     offsets = np.cumsum([0] + [vocab.size(etype) for etype in EVENT_TYPES])

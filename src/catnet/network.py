@@ -9,10 +9,11 @@ time gate, and mapped to per-target probabilities.
 :meth:`CatnetModel.forward_batch` runs each of these layers once per batch of
 B patients with V visits in all.  The V visits are packed patient after
 patient: one ``(V,)`` interval-kernel call, one ``(V, K, E)`` token gather,
-one masked ``(V, K, K)`` cross-event softmax, one input projection per gate,
-then ``T = max visits`` recurrent steps on ``(B, H)``, one masked
-``(B, T, T)`` visit attention summed over visits into ``(B, H)`` and one gate
-call over the ``(B, T)`` grid.  Padding (tokens past a visit's codes, steps
+one masked ``(V, Q, K)`` cross-event softmax of each visit's Q gathered
+queries over its K tokens, one input projection per gate, then
+``T = max visits`` recurrent steps on ``(B, H)``, one masked ``(B, T, T)``
+visit attention summed over visits into ``(B, H)`` and one gate call over the
+``(B, T)`` grid.  Padding (tokens past a visit's codes, steps
 past a patient's visits) is masked out or zeroed at every layer, and every
 sum that padding extends adds in a fixed order, so a patient's probabilities
 are bitwise the same alone as in any batch.
@@ -34,13 +35,14 @@ import numpy as np
 from catnet import autodiff as ad
 from catnet.aggregate import HeadParams, fuse_and_predict, global_time_gate, visit_self_attention
 from catnet.attention import CodeEmbeddings, attend, build_token_set, output_width, raw_slot_layout
-from catnet.backbone import RecurrentParams, run_sequence, step_mask
-from catnet.cohort import EVENT_TYPES, TaskSpec, VocabSpec, derive_intervals, extract_task_instances
+from catnet.backbone import GATES, RecurrentParams, run_sequence, step_mask
+from catnet.cohort import (DEMOGRAPHICS_DIM, EVENT_TYPES, TaskSpec, VocabSpec, derive_intervals,
+                           extract_task_instances)
 from catnet.time_kernel import TimeKernelParams, time_embed
 
 COMPONENT_DROPS = ("cross", "visit", "global")
 EVENT_DROPS = ("diag", "lab", "proc", "time", "aux")
-DEMO_DIM_IN = 3
+TIME_SCALE_DAYS = 30.0  # gaps enter both time kernels in units of this many days
 
 
 def resolve_drops(names, task: str):
@@ -68,13 +70,13 @@ class ModelConfig:
     kernel_dim: int = 16
     hidden_dim: int = 64
     demo_dim: int = 8
-    time_scale: float = 30.0
     drops: tuple = ()
 
     def __post_init__(self):
         TaskSpec(self.task, self.mode)  # validates task/mode pairing
-        if self.backbone not in ("gru", "lstm"):
-            raise ValueError(f"unsupported backbone {self.backbone!r}; expected gru or lstm")
+        if self.backbone not in GATES:
+            raise ValueError(f"unsupported backbone {self.backbone!r}; "
+                             f"expected one of {tuple(GATES)}")
         object.__setattr__(self, "drops", resolve_drops(self.drops, self.task))
 
     @property
@@ -131,7 +133,7 @@ class CatnetModel:
         self.decay_kernel = TimeKernelParams.init(config.hidden_dim, config.hidden_dim, rng)
         self.rnn = RecurrentParams.init(config.backbone, self.input_width,
                                         config.hidden_dim, rng)
-        self.head = HeadParams.init(DEMO_DIM_IN, config.demo_dim, config.hidden_dim,
+        self.head = HeadParams.init(DEMOGRAPHICS_DIM, config.demo_dim, config.hidden_dim,
                                     self.n_targets, rng)
         self.constant_interval = (
             ad.parameter(rng.uniform(-0.1, 0.1, config.embed_dim))
@@ -172,7 +174,7 @@ class CatnetModel:
         visits = [visit for inst in instances for visit in inst.visits]
         if self.constant_interval is None:
             delta_prev = np.concatenate([inst.delta_prev for inst in instances])
-            intervals = time_embed(delta_prev / cfg.time_scale, self.interval_kernel)
+            intervals = time_embed(delta_prev / TIME_SCALE_DAYS, self.interval_kernel)
         else:
             intervals = ad.add(ad.tensor(np.zeros((len(visits), cfg.embed_dim))),
                                self.constant_interval)
@@ -195,7 +197,7 @@ class CatnetModel:
             gated = None
         else:
             gaps = np.zeros(mask.shape)
-            gaps[mask] = np.concatenate([inst.delta_global for inst in instances]) / cfg.time_scale
+            gaps[mask] = np.concatenate([inst.delta_global for inst in instances]) / TIME_SCALE_DAYS
             gated, _ = global_time_gate(states, gaps, lengths, self.decay_kernel)
         demo = np.stack([inst.demo for inst in instances])
         return fuse_and_predict(pooled, gated, demo, self.head), attention

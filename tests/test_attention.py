@@ -128,7 +128,7 @@ def test_three_tokens_match_brute_force():
         "lab": ad.parameter(np.zeros((1, 4))),
         "proc": ad.parameter(np.zeros((1, 4))),
     }
-    embeddings = CodeEmbeddings(tables=tables, embed_dim=embed_dim)
+    embeddings = CodeEmbeddings(tables=tables)
     visit = Visit(time_days=0.0, codes={"med": [0], "diag": [1], "lab": [], "proc": []})
     interval = ad.tensor([0.05, -0.3, 0.2, 0.4])
     tokens = build_token_set(visit, embeddings, interval)
@@ -171,8 +171,7 @@ def test_absent_code_neutrality_is_bitwise():
     extended = CodeEmbeddings(
         tables={**embeddings.tables,
                 "med": ad.parameter(np.vstack([embeddings.tables["med"].data,
-                                               [[9.0, 9.0, 9.0, 9.0]]]))},
-        embed_dim=4)
+                                               [[9.0, 9.0, 9.0, 9.0]]]))})
     visit = Visit(time_days=0.0, codes=codes)
     tokens2 = build_token_set(visit, extended, ad.tensor(interval_of(tokens)))
     grown, grown_rec = attend(tokens2, "task-unaware", vocab=bigger)
@@ -199,7 +198,7 @@ def test_within_type_permutation_equivariance_exact():
         new_diag = np.empty_like(embeddings.tables["diag"].data)
         new_diag[perm] = embeddings.tables["diag"].data
         permuted_tables["diag"] = ad.parameter(new_diag)
-        permuted_emb = CodeEmbeddings(tables=permuted_tables, embed_dim=4)
+        permuted_emb = CodeEmbeddings(tables=permuted_tables)
         permuted_codes = {**codes, "diag": sorted(int(perm[c]) for c in diag_codes)}
         tokens_p = build_token_set(Visit(time_days=0.0, codes=permuted_codes),
                                    permuted_emb, ad.tensor(interval_of(tokens)))
@@ -232,7 +231,7 @@ def test_within_type_permutation_equivariance_batched_task_aware():
         perms = {etype: rng.permutation(vocab.size(etype)) for etype in EVENT_TYPES}
         permuted_emb = CodeEmbeddings(
             tables={etype: ad.parameter(table.data[np.argsort(perms[etype])])
-                    for etype, table in embeddings.tables.items()}, embed_dim=4)
+                    for etype, table in embeddings.tables.items()})
         visits = [Visit(time_days=0.0, codes={etype: sorted(rng.choice(
             vocab.size(etype), size=rng.integers(0, vocab.size(etype) + 1), replace=False).tolist())
             for etype in EVENT_TYPES}) for _ in range(5)]

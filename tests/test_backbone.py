@@ -155,7 +155,7 @@ class TestRunSequence:
         # the same 3 valid steps, alone and padded to 5 steps by a longer sequence
         for rows, lengths in ((steps, [3]), (np.concatenate([steps, longer]), [3, 5])):
             for t in params.weights.values():
-                t.zero_grad()
+                t.grad = None
             with ad.Tape():
                 loss = last_state_loss(rows, lengths)
                 ad.backward(loss)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -58,13 +59,31 @@ def test_bare_config_is_the_standard_cohort():
     assert GenConfig() == GenConfig.default()
 
 
-def test_wrong_length_prevalence_rejected_at_construction():
+def test_prevalence_lists_fix_the_vocabulary():
     standard = GenConfig().base_prevalence
-    with pytest.raises(ValueError, match="med: 11 prevalences for 12 codes"):
-        GenConfig(base_prevalence=dict(standard, med=[0.1] * 11))
+    config = GenConfig(n_patients=50, base_prevalence=dict(standard, med=[0.3] * 11))
+    assert config.vocab().size("med") == 11
+    records, vocab = generate(config, 7919)
+    assert vocab.size("med") == 11
+    med = [c for rec in records for visit in rec.visits for c in visit.codes_for("med")]
+    assert med and max(med) < 11
+
+
+def test_prevalence_types_must_be_the_event_types():
+    standard = GenConfig().base_prevalence
     without_lab = {etype: p for etype, p in standard.items() if etype != "lab"}
-    with pytest.raises(ValueError, match="lab: 0 prevalences for 8 codes"):
+    with pytest.raises(ValueError, match=r"missing \['lab'\], extra \[\]"):
         GenConfig(base_prevalence=without_lab)
+    with pytest.raises(ValueError, match=r"missing \[\], extra \['vitals'\]"):
+        GenConfig(base_prevalence=dict(standard, vitals=[0.1, 0.2]))
+
+
+@pytest.mark.parametrize("lab", [[0.1, 1.5], [-0.1], [[0.1, 0.2]]],
+                         ids=["above-one", "negative", "nested"])
+def test_prevalence_lists_must_be_flat_probabilities(lab):
+    with pytest.raises(ValueError, match=r"^base prevalence for lab must be a list of values "
+                                         r"in \[0, 1\]$"):
+        GenConfig(base_prevalence=dict(GenConfig().base_prevalence, lab=lab))
 
 
 def _long_sparse():
@@ -122,3 +141,20 @@ def test_numpy_integer_fields_accepted():
                                  max_visits=np.int32(4))
     records, _ = generate(config, 7919)
     assert len(records) == 3 and all(2 <= len(rec.visits) <= 4 for rec in records)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, 1.0, True, "7"])
+def test_bad_seed_rejected_naming_it(seed):
+    config = dataclasses.replace(GenConfig.default(), n_patients=2)
+    with pytest.raises(ValueError, match=f"^seed must be an integer in \\[0, 2\\*\\*64\\), "
+                                         f"got {re.escape(repr(seed))}$"):
+        generate(config, seed)
+
+
+def test_seed_range_ends_and_numpy_seeds_accepted():
+    config = dataclasses.replace(GenConfig.default(), n_patients=10)
+    first, _ = generate(config, 0)
+    last, _ = generate(config, 2**64 - 1)
+    assert as_dicts(first) != as_dicts(last)
+    numpy_seeded, _ = generate(config, np.uint64(7919))
+    assert as_dicts(numpy_seeded) == as_dicts(generate(config, 7919)[0])

@@ -43,8 +43,7 @@ def tiny_records():
 
 def tiny_config(**kw):
     defaults = dict(task="med", mode="task-aware", backbone="gru",
-                    embed_dim=3, kernel_dim=2, hidden_dim=4, demo_dim=2,
-                    time_scale=30.0)
+                    embed_dim=3, kernel_dim=2, hidden_dim=4, demo_dim=2)
     defaults.update(kw)
     return ModelConfig(**defaults)
 
