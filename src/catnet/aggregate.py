@@ -7,7 +7,8 @@ zeros): scaled dot-product self-attention across each patient's own visits
 (one masked ``(B, T, T)`` softmax), whose contexts sum to one attention-
 weighted sum of the states, and a sigmoid gate driven by each visit's elapsed
 time since the first visit that scales the hidden states elementwise (one
-kernel call over all ``B * T`` positions).  The two ``(B, H)`` sums are
+kernel call over the V real visits, scattered back to ``(B, T, H)`` with
+zeros at padded visits).  The two ``(B, H)`` sums are
 added, concatenated with the encoded demographics, and mapped through a
 sigmoid output layer to per-target probabilities, ``(B, n_targets)``.
 """
@@ -76,8 +77,10 @@ def global_time_gate(states: ad.Tensor, delta_global, lengths, kernel: TimeKerne
 
     ``delta_global`` is ``(B, T)`` (already scaled by the caller); each row
     must start at 0 and be non-decreasing up to its length, and entries past
-    it are ignored.  Returns ``(gated_states, gates)``: ``gated_states`` is
-    ``(B, T, H)``, zero wherever ``states`` is; ``gates`` is a list of one
+    it are ignored.  The kernel and the sigmoid run once over the V real
+    visits, patient after patient, and the gated rows are scattered back into
+    the padded grid.  Returns ``(gated_states, gates)``: ``gated_states`` is
+    ``(B, T, H)``, zero at padded visits; ``gates`` is a list of one
     ``(T_b, H)`` array per patient.
     """
     mask = step_mask(lengths)
@@ -88,8 +91,11 @@ def global_time_gate(states: ad.Tensor, delta_global, lengths, kernel: TimeKerne
         raise ValueError("global decay times must start at 0")
     if np.any((np.diff(deltas, axis=1) < 0) & mask[:, 1:]):
         raise ValueError("global decay times must be non-decreasing")
-    gates = ad.sigmoid(time_embed(np.where(mask, deltas, 0.0), kernel))
-    return ad.mul(gates, states), [gates.data[b, :n] for b, n in enumerate(lengths)]
+    source = np.where(mask, np.cumsum(mask).reshape(mask.shape), 0)   # padding reads a zero row
+    gates = ad.sigmoid(time_embed(deltas[mask], kernel))
+    real = ad.take_row(ad.reshape(states, (mask.size, -1)), np.flatnonzero(mask))
+    flat = ad.concat([ad.tensor(np.zeros((1, states.shape[-1]))), ad.mul(gates, real)], axis=0)
+    return ad.take_row(flat, source), np.split(gates.data, np.cumsum(lengths)[:-1])
 
 
 def encode_demographics(demo, params: HeadParams) -> ad.Tensor:

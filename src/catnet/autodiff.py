@@ -28,20 +28,23 @@ helpers.  Nothing in the package calls ``sub``, ``matmul``, ``stack`` or
 Row-wise products run on BLAS through :func:`row_product`, which multiplies
 blocks of exactly ``ROW_BLOCK`` zero-padded rows, so a row's bits depend
 neither on its neighbours nor on its position (a plain ``x @ w`` sends a lone
-row to another kernel).  ``linear`` takes its values and input gradient from
-it, and its weight gradient from :func:`outer_sum`, which drops zero-gradient
-rows first (a BLAS sum over rows groups its terms by position, so padding
-rows would move the grouping) and multiplies the kept rows as ``row_product``
-blocks as well: OpenBLAS keeps blocks of this size on the calling thread,
-where one large product would wake worker threads.  The batched attention
-contractions stay on ``np.einsum`` without path optimisation (one dot product
-in index order per output entry), because their padding grows the query and
-key axes of each product, and a BLAS call of another shape may take another
-kernel.  Sums over an axis that padding fills with zeros add their terms one
-after another in index order (:func:`sum_over`, :func:`stable_softmax`,
-:func:`weighted_row_sum`), so padding never changes a result bit; a caller
-that needs a sum independent of the order of its terms puts them in a fixed
-order first, as cross-event attention does with each visit's tokens.
+row to another kernel).  Given weights with a leading gate axis, it runs one
+``np.matmul`` whose every block is the same product a single gate would run;
+the recurrence applies its state maps so.  ``linear`` takes its values and
+input gradient from it, and its weight gradient from :func:`outer_sum`,
+which drops zero-gradient rows first (a BLAS sum over rows groups its terms
+by position, so padding rows would move the grouping) and multiplies the kept
+rows as ``row_product`` blocks as well: OpenBLAS keeps blocks of this size on
+the calling thread, where one large product would wake worker threads.  The
+batched attention contractions stay on ``np.einsum`` without path
+optimisation (one dot product in index order per output entry), because
+their padding grows the query and key axes of each product, and a BLAS call
+of another shape may take another kernel.  Sums over an axis that padding
+fills with zeros add their terms one after another in index order
+(:func:`sum_over`, :func:`stable_softmax`, :func:`weighted_row_sum`), so
+padding never changes a result bit; a caller that needs a sum independent of
+the order of its terms puts them in a fixed order first, as cross-event
+attention does with each visit's tokens.
 
 An op result's ``data`` is never written after creation.  :func:`backward`
 fills ``grad`` buffers, and optimizers and
@@ -320,12 +323,18 @@ ROW_BLOCK = 8
 
 
 def row_product(x, w):
-    """``x @ w`` for ``x`` (..., I), ``w`` (I, O), as a stack of ``ROW_BLOCK``-row products."""
-    rows = x.reshape(-1, x.shape[-1])
-    n = rows.shape[0]
-    blocks = np.zeros((-(-n // ROW_BLOCK), ROW_BLOCK, rows.shape[1]))
-    blocks.reshape(-1, rows.shape[1])[:n] = rows
-    return np.matmul(blocks, w).reshape(-1, w.shape[1])[:n].reshape(x.shape[:-1] + w.shape[1:])
+    """``x @ w`` for ``x`` (..., I), ``w`` (I, O), as a stack of ``ROW_BLOCK``-row products.
+
+    ``w`` may carry a leading gate axis, (G, I, O), with ``x`` (n, I) shared by
+    every gate or (G, n, I): the G products then run in one ``np.matmul`` of
+    the same ``ROW_BLOCK``-row blocks and come back as (G, n, O).
+    """
+    if w.ndim == 2:
+        return row_product(x.reshape(-1, x.shape[-1]), w[None])[0].reshape(x.shape[:-1] + w.shape[1:])
+    n = x.shape[-2]
+    blocks = np.zeros(x.shape[:-2] + (-(-n // ROW_BLOCK), ROW_BLOCK, x.shape[-1]))
+    blocks.reshape(x.shape[:-2] + (-1, x.shape[-1]))[..., :n, :] = x
+    return np.matmul(blocks, w[:, None]).reshape(len(w), -1, w.shape[-1])[:, :n]
 
 
 def outer_sum(g, x):

@@ -4,19 +4,21 @@ Single-layer, unidirectional GRU or LSTM cells with zero initial state.  A
 batch of B sequences arrives packed: ``inputs`` holds the V = sum(lengths)
 input vectors one sequence after another, and ``lengths`` says how many
 belong to each.  Each gate's input projection runs once over all V rows and
-is gathered into a time-major ``(T, B, H)`` array, T = max(lengths).  All T
-steps on ``(B, H)`` states are then one tape op in numpy: the forward
-evaluates the same expressions, in the same order, as per-step autodiff ops
-would, with ``ad.logistic`` as ``ad.sigmoid``'s values and the state maps as
-``ad.linear``'s products (``ad.row_product``, and ``ad.outer_sum`` for their
-gradients); the backward is hand-written backpropagation through time over
-the gate activations the forward kept (only while a tape records).  Every gate
-pre-activation goes through ``ad.check_finite``, the check every tape op
-makes, so the error names the op and the shapes of its inputs.  The
-``(B, T)`` step mask zeroes every state past a sequence's length, so padded
-positions read as zeros, and a sequence's own steps never read another row.
-Batch composition and trailing padding therefore never change a sequence's
-hidden states or gradients.
+is gathered time-major: step t's rows are the sequences still running at t,
+in batch order, so the state shrinks by one gather where a sequence ends and
+no padded step is computed.  All T = max(lengths) steps are one tape op in
+numpy: the forward evaluates the same expressions, in the same order, as
+per-step autodiff ops would, with ``ad.logistic`` as ``ad.sigmoid``'s values
+and the state maps as ``ad.linear``'s products (``ad.row_product``, whose gate
+axis runs every map that reads the same rows in one call, and
+``ad.outer_sum`` for their gradients); the backward is hand-written
+backpropagation through time over the gate activations the forward kept
+(only while a tape records), handing each carried gradient back to the rows
+that ran on.  Every gate pre-activation goes through ``ad.check_finite``, the
+check every tape op makes, so the error names the op and the shapes of its
+inputs.  States come back as ``(B, T, H)``, zero past each length.  A row's
+products never depend on the other rows, so batch composition and padding
+never change a sequence's hidden states or gradients.
 """
 
 from __future__ import annotations
@@ -72,77 +74,87 @@ def run_sequence(inputs: ad.Tensor, lengths, params: RecurrentParams) -> ad.Tens
     width = w[f"w{gates[0]}"].shape[1]
     if inputs.data.ndim != 2 or inputs.shape[1] != width:
         raise ValueError(f"run_sequence: input shape mismatch {inputs.shape} vs (V, {width})")
-    mask = step_mask(lengths)
-    n_seq, n_steps = mask.shape
-    # row of step t of sequence b, time-major; padding reads row 0 and is zeroed below
-    rows = np.where(mask.T, np.cumsum(lengths) - lengths + np.arange(n_steps)[:, None], 0)
+    # the V real rows, time-major; within a step, the running sequences in batch order
+    step, seq = np.nonzero(step_mask(lengths).T)
+    rows = (np.cumsum(lengths) - lengths)[seq] + step
     projected = [ad.take_row(ad.linear(inputs, w[f"w{g}"], w[f"b{g}"]), rows) for g in gates]
-    return _recurrence(params.kind, projected, [w[f"u{g}"] for g in gates], mask)
+    return _recurrence(params.kind, projected, [w[f"u{g}"] for g in gates], lengths, step, seq)
 
 
-def _recurrence(kind, projected, state_maps, mask):
-    """One tape op: ``(T, B, H)`` gate projections and ``(H, H)`` state maps -> ``(B, T, H)``."""
+def _recurrence(kind, projected, state_maps, lengths, step, seq):
+    """One tape op: packed ``(V, H)`` gate projections and ``(H, H)`` state maps -> ``(B, T, H)``."""
     inputs = projected + state_maps
-    x, u = [p.data for p in projected], [m.data for m in state_maps]
-    n_steps, n_seq, hidden = x[0].shape
+    x = np.stack([p.data for p in projected])           # (G, V, H)
+    u = np.stack([m.data for m in state_maps])          # (G, H, H)
+    u_t = u.transpose(0, 2, 1)
+    n_gates, n_rows, hidden = x.shape
+    offs = np.searchsorted(step, np.arange(lengths.max() + 1))   # step t: rows offs[t]:offs[t+1]
+    count = np.diff(offs)
+    # per step, the rows of the step before whose sequence runs on (a slice where none ends)
+    keeps = [slice(None)] + [slice(None) if count[t] == count[t - 1] else
+                             np.flatnonzero(lengths[seq[offs[t - 1]:offs[t]]] > t)
+                             for t in range(1, len(count))]
+    spans = list(zip(offs[:-1], offs[1:], keeps))
     # projections carry gradients only while a tape records (their input maps are parameters)
     cache = [] if any(p.requires_grad for p in projected) else None
-    pre = np.empty((n_steps, len(x), n_seq, hidden))     # every pre-activation, checked below
-    states = np.empty((n_seq, n_steps, hidden))
-
-    def gate(k, t, h, act=ad.logistic):
-        return act(np.add(x[k][t], ad.row_product(h, u[k].T), out=pre[t, k]))
-
-    h = c = np.zeros((n_seq, hidden))
-    for t in range(n_steps):
-        h_prev, c_prev = h, c
+    pre = np.empty(x.size)        # each step's (G, n, H) pre-activations, checked below
+    out = np.empty((n_rows, hidden))
+    h = c = np.zeros((count[0], hidden))
+    for lo, hi, keep in spans:
+        h_prev, c_prev = h, c = h[keep], c[keep]
+        p = pre[n_gates * hidden * lo:n_gates * hidden * hi].reshape(n_gates, hi - lo, hidden)
         if kind == "gru":
-            z, r = gate(0, t, h), gate(1, t, h)
-            cand = gate(2, t, r * h, np.tanh)
+            z, r = ad.logistic(np.add(x[:2, lo:hi], ad.row_product(h, u_t[:2]), out=p[:2]))
+            cand = np.tanh(np.add(x[2, lo:hi], ad.row_product(r * h, u_t[2]), out=p[2]))
             h = (-1.0 * z + 1.0) * h + z * cand
             acts = (z, r, cand)
         else:
-            i, f, o, g = gate(0, t, h), gate(1, t, h), gate(2, t, h), gate(3, t, h, np.tanh)
+            np.add(x[:, lo:hi], ad.row_product(h, u_t), out=p)
+            (i, f, o), g = ad.logistic(p[:3]), np.tanh(p[3])
             c = f * c + i * g
             acts = (i, f, o, g, np.tanh(c))
             h = o * acts[-1]
-        h = h * mask[:, t, None]           # zero past each sequence's length
-        states[:, t] = h
+        out[lo:hi] = h
         if cache is not None:
             cache.append((h_prev, c_prev) + acts)
     op = f"{kind} recurrence"
     ad.check_finite(op, pre, inputs)
+    states = np.zeros((len(lengths), len(count), hidden))
+    states[seq, step] = out
 
     def bwd(grad):
         """Backpropagation through time, adding each gradient in the order the per-step ops would."""
-        dx = np.empty((len(x), n_steps, n_seq, hidden))
+        dx = np.empty_like(x)
         du = [np.zeros_like(m) for m in u]
-        dc = np.zeros((n_seq, hidden))
-        carry = ()                          # step t+1's gradients for h_t
-        for t in reversed(range(n_steps)):
-            h_prev, c_prev, *acts = cache[t]
-            dh = sum(carry, grad[:, t]) * mask[:, t, None]
+        dh_rows, dc = grad[seq, step], 0.0
+        carry, carried = (), slice(None)   # step t+1's gradients for h_t, and the rows they reach
+        for (lo, hi, keep), (h_prev, c_prev, *acts) in zip(spans[::-1], cache[::-1]):
+            dh = dh_rows[lo:hi]
+            dh[carried] = sum(carry, dh[carried])
             if kind == "gru":
                 z, r, cand = acts
-                dx[0, t] = (dh * cand - dh * h_prev) * z * (1.0 - z)
-                dx[2, t] = dh * z * (1.0 - cand * cand)
-                d_rh = ad.row_product(dx[2, t], u[2])
-                dx[1, t] = d_rh * h_prev * r * (1.0 - r)
+                dx[0, lo:hi] = (dh * cand - dh * h_prev) * z * (1.0 - z)
+                dx[2, lo:hi] = dh * z * (1.0 - cand * cand)
+                d_rh = ad.row_product(dx[2, lo:hi], u[2])
+                dx[1, lo:hi] = d_rh * h_prev * r * (1.0 - r)
                 carry = (dh * (-1.0 * z + 1.0), d_rh * r) + tuple(
-                    ad.row_product(dx[k, t], u[k]) for k in (1, 0))
+                    ad.row_product(dx[1::-1, lo:hi], u[1::-1]))
                 sources = (h_prev, h_prev, r * h_prev)
             else:
                 i, f, o, g, tanh_c = acts
-                dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
-                dx[0, t] = dc * g * i * (1.0 - i)
-                dx[1, t] = dc * c_prev * f * (1.0 - f)
-                dx[2, t] = dh * tanh_c * o * (1.0 - o)
-                dx[3, t] = dc * i * (1.0 - g * g)
+                dc_next = np.zeros((hi - lo, hidden))   # zero for the rows whose sequence ends at t
+                dc_next[carried] = dc
+                dc = dc_next + dh * o * (1.0 - tanh_c * tanh_c)
+                dx[0, lo:hi] = dc * g * i * (1.0 - i)
+                dx[1, lo:hi] = dc * c_prev * f * (1.0 - f)
+                dx[2, lo:hi] = dh * tanh_c * o * (1.0 - o)
+                dx[3, lo:hi] = dc * i * (1.0 - g * g)
                 dc = dc * f
-                carry = tuple(ad.row_product(dx[k, t], u[k]) for k in (3, 2, 1, 0))
+                carry = tuple(ad.row_product(dx[::-1, lo:hi], u[::-1]))
                 sources = (h_prev,) * 4
             for k, source in enumerate(sources):
-                du[k] += ad.outer_sum(dx[k, t], source)
+                du[k] += ad.outer_sum(dx[k, lo:hi], source)
+            carried = keep
         for k, (p, m) in enumerate(zip(projected, state_maps)):
             ad.accumulate(p, dx[k])
             ad.accumulate(m, du[k])

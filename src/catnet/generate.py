@@ -10,7 +10,8 @@ model must find to predict the effect codes.
 
 Generation is a pure function of (config, seed): patient ``i`` draws from its
 own Philox counter-based stream keyed by (seed, i), so patients can be
-generated independently and in parallel without changing the output.  A stream
+generated independently and in parallel without changing the output; one
+Philox bit generator is rekeyed for each patient in turn.  A stream
 is read in one order, which fixes the cohort's bytes: sex, age, the continue
 draws, the start time; per visit one ``random(n_codes)`` over all codes in
 ``EVENT_TYPES`` order, then one lognormal gap; last, mortality.
@@ -45,10 +46,11 @@ class PlantedRule:
         for etype in (self.trigger_type, self.effect_type):
             if etype not in EVENT_TYPES:
                 raise ValueError(f"unknown event type {etype!r} in rule")
-        if self.boost <= 1.0:
-            raise ValueError(f"rule boost must exceed 1, got {self.boost}")
-        if self.halflife_days <= 0.0:
-            raise ValueError(f"rule halflife must be positive, got {self.halflife_days}")
+        if not (math.isfinite(self.boost) and self.boost > 1.0):
+            raise ValueError(f"rule boost must be a finite number above 1, got {self.boost!r}")
+        if not (math.isfinite(self.halflife_days) and self.halflife_days > 0.0):
+            raise ValueError(f"rule halflife_days must be finite and positive, "
+                             f"got {self.halflife_days!r}")
 
     def log_odds_at(self, gap_days: float) -> float:
         return math.log(self.boost) * 2.0 ** (-gap_days / self.halflife_days)
@@ -95,6 +97,9 @@ class GenConfig:
             raise ValueError("max_visits must be >= min_visits")
         if not 0.0 <= self.continue_prob <= 1.0:
             raise ValueError("continue_prob must lie in [0, 1]")
+        for name in ("gap_log_mu", "gap_log_sigma", "mortality_intercept", "mortality_weight"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.gap_log_sigma <= 0.0:
             raise ValueError("gap_log_sigma must be positive")
         missing = [t for t in EVENT_TYPES if t not in self.base_prevalence]
@@ -139,13 +144,17 @@ def conditional_effect_probability(rule: PlantedRule, base_p: float, gap_days: f
     return _sigmoid(_logit(base_p) + rule.log_odds_at(gap_days))
 
 
-def _patient_stream(seed: int, index: int) -> Generator:
-    return Generator(Philox(key=(seed << 64) | index))
+def _patient_stream(rng: Generator, seed: int, index: int) -> Generator:
+    """``rng``, a Philox generator, rekeyed to the start of patient ``index``'s stream."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox", "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0,
+        "state": {"counter": np.zeros(4, np.uint64), "key": np.array([index, seed], np.uint64)}}
+    return rng
 
 
-def _generate_patient(config: GenConfig, seed: int, index: int, base_logits: np.ndarray,
+def _generate_patient(config: GenConfig, rng: Generator, index: int, base_logits: np.ndarray,
                       offsets: np.ndarray, local_codes: np.ndarray, rules: list) -> PatientRecord:
-    rng = _patient_stream(seed, index)
     sex = "F" if rng.random() < 0.5 else "M"
     age = round(float(rng.uniform(20.0, 90.0)), 1)
 
@@ -201,8 +210,9 @@ def generate(config: GenConfig, seed: int):
     start = dict(zip(EVENT_TYPES, offsets.tolist()))
     rules = [(rule, start[rule.trigger_type] + rule.trigger_code,
               start[rule.effect_type] + rule.effect_code) for rule in config.rules]
-    records = [_generate_patient(config, seed, i, base_logits, offsets, local_codes, rules)
-               for i in range(config.n_patients)]
+    rng = Generator(Philox(0))   # one bit generator, rekeyed per patient
+    records = [_generate_patient(config, _patient_stream(rng, seed, i), i, base_logits, offsets,
+                                 local_codes, rules) for i in range(config.n_patients)]
     for rec in records:
         rec.validate(vocab)
     return records, vocab

@@ -11,10 +11,11 @@ B patients with V visits in all.  The V visits are packed patient after
 patient: one ``(V,)`` interval-kernel call, one ``(V, K, E)`` token gather,
 one masked ``(V, Q, K)`` cross-event softmax of each visit's Q gathered
 queries over its K tokens, one input projection per gate, then
-``T = max visits`` recurrent steps on ``(B, H)``, one masked ``(B, T, T)``
-visit attention summed over visits into ``(B, H)`` and one gate call over the
-``(B, T)`` grid.  Padding (tokens past a visit's codes, steps
-past a patient's visits) is masked out or zeroed at every layer, and every
+``T = max visits`` recurrent steps, each on the patients that still have a
+visit at that step, one masked ``(B, T, T)`` visit attention summed over
+visits into ``(B, H)`` and one gate call over the V visits, scattered back
+to ``(B, T, H)``.  Padding (tokens past a visit's codes, steps past a
+patient's visits) is skipped, masked out or zeroed at every layer, and every
 sum that padding extends adds in a fixed order, so a patient's probabilities
 are bitwise the same alone as in any batch.
 
@@ -28,6 +29,7 @@ stands in for every gap; dropped event types are removed from every visit.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +79,10 @@ class ModelConfig:
         if self.backbone not in GATES:
             raise ValueError(f"unsupported backbone {self.backbone!r}; "
                              f"expected one of {tuple(GATES)}")
+        for name in ("embed_dim", "kernel_dim", "hidden_dim", "demo_dim"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         object.__setattr__(self, "drops", resolve_drops(self.drops, self.task))
 
     @property

@@ -159,6 +159,34 @@ class TestGlobalGate:
         numeric = central_difference(lambda: forward().item(), [t.data for t in tensors])
         assert max_relative_error(analytic, numeric) <= 1e-4
 
+    def test_patient_same_alone_as_padded_by_a_longer_patient(self):
+        rng = np.random.default_rng(12)
+        kernel = TimeKernelParams.init(hidden=2, out=3, rng=rng)
+        short, longer = rng.uniform(-1, 1, (2, 3)), rng.uniform(-1, 1, (4, 3))
+        coeff = ad.tensor(rng.uniform(-1, 1, 3))
+        tensors = [kernel.w1, kernel.b1, kernel.w2, kernel.b2]
+
+        def run(states, deltas, lengths):
+            """Patient 0's gated values and gates, and the gradients of a loss on them."""
+            states = ad.parameter(states)
+            for t in tensors:
+                t.grad = None
+            with ad.Tape():
+                gated, gates = global_time_gate(states, deltas, lengths, kernel)
+                total = ad.sum_over(ad.take_row(gated, 0), axis=0)
+                ad.backward(ad.sum_over(ad.mul(total, coeff)))
+            return gated.data[0], gates[0], states.grad[0], [t.grad.copy() for t in tensors]
+
+        alone = run(short[None], [[0.0, 2.5]], [2])
+        # entries past patient 0's length are ignored, whatever they hold
+        padded = run(padded_states([short, longer], [2, 4]),
+                     [[0.0, 2.5, 99.0, 5.0], [0.0, 1.0, 3.0, 9.0]], [2, 4])
+        for a, b in zip(alone[:3], padded[:3]):
+            np.testing.assert_array_equal(a, b[:2])
+            np.testing.assert_array_equal(b[2:], 0.0)
+        for a, b in zip(alone[3], padded[3]):
+            np.testing.assert_array_equal(a, b)
+
 
 class TestFuseAndPredict:
     def zero_head(self, hidden_dim=3, demo_dim=2, n_targets=4):

@@ -369,6 +369,23 @@ def test_row_product_and_linear_rows_are_row_stable(width):
         np.testing.assert_array_equal(batched.data, alone[:3 * block].reshape(3, block, n_out))
 
 
+@pytest.mark.parametrize("n_rows", [1, 5, 8, 21])
+def test_row_product_gate_axis_equals_one_product_per_gate(n_rows):
+    rng = np.random.default_rng(n_rows)
+    maps = rng.uniform(-1, 1, (4, 6, 6))
+    shared = rng.uniform(-1, 1, (n_rows, 6))
+    per_gate = rng.uniform(-1, 1, (4, n_rows, 6))
+    # transposed and reversed views, as the recurrence passes them
+    for w in (maps, maps.transpose(0, 2, 1), maps[::-1], maps[1::-1]):
+        got = ad.row_product(shared, w)
+        assert got.shape == (len(w), n_rows, 6)
+        for k in range(len(w)):
+            np.testing.assert_array_equal(got[k], ad.row_product(shared, w[k]))
+        got = ad.row_product(per_gate[:len(w)], w)
+        for k in range(len(w)):
+            np.testing.assert_array_equal(got[k], ad.row_product(per_gate[k], w[k]))
+
+
 @pytest.mark.parametrize("n_out", [1, 3, 64])
 def test_linear_weight_gradient_ignores_interleaved_zero_gradient_rows(n_out):
     rng = np.random.default_rng(n_out)

@@ -117,13 +117,16 @@ class TestRunSequence:
         first_of_three = run(xs, params).data[0, 0]
         np.testing.assert_array_equal(alone, first_of_three)
 
-    def test_batching_transparency(self):
-        params = RecurrentParams.init("gru", 3, 4, np.random.default_rng(2))
-        seqs = self.make_inputs([3, 2, 5], seed=3)
-        alone = run(seqs[0], params)
-        together = run(np.concatenate(seqs), params, lengths=[3, 2, 5])
-        for t in range(3):
-            np.testing.assert_allclose(alone.data[0, t], together.data[0, t], atol=1e-12)
+    @pytest.mark.parametrize("kind", ["gru", "lstm"])
+    def test_batching_transparency(self, kind):
+        # the second sequence ends first, so the packed state shrinks from its middle
+        lengths = [3, 1, 5, 2]
+        params = RecurrentParams.init(kind, 3, 4, np.random.default_rng(2))
+        seqs = self.make_inputs(lengths, seed=3)
+        together = run(np.concatenate(seqs), params, lengths=lengths).data
+        for b, seq in enumerate(seqs):
+            np.testing.assert_array_equal(together[b, :len(seq)], run(seq, params).data[0])
+            np.testing.assert_array_equal(together[b, len(seq):], 0.0)
 
     def test_order_sensitivity_witness(self):
         params = RecurrentParams.init("gru", 3, 4, np.random.default_rng(4))
@@ -143,39 +146,37 @@ class TestRunSequence:
     def test_padding_inertness_values_and_grads(self, kind):
         rng = np.random.default_rng(9)
         params = RecurrentParams.init(kind, 3, 4, rng)
-        steps = rng.uniform(-1, 1, (3, 3))
-        longer = rng.uniform(-1, 1, (5, 3))
+        lengths = [3, 1, 5, 2]                  # a middle sequence ends first
+        seqs = self.make_inputs(lengths, seed=12)
         coeff = ad.tensor(rng.uniform(-1, 1, 4))
 
-        def last_state_loss(rows, lengths):
-            out = run(rows, params, lengths=lengths)
-            return ad.sum_over(ad.mul(ad.take_row(ad.take_row(out, 0), 2), coeff))
-
-        results = []
-        # the same 3 valid steps, alone and padded to 5 steps by a longer sequence
-        for rows, lengths in ((steps, [3]), (np.concatenate([steps, longer]), [3, 5])):
+        def last_state_loss_and_grads(rows, lengths, b):
             for t in params.weights.values():
                 t.grad = None
             with ad.Tape():
-                loss = last_state_loss(rows, lengths)
+                out = run(rows, params, lengths=lengths)
+                state = ad.take_row(ad.take_row(out, b), lengths[b] - 1)
+                loss = ad.sum_over(ad.mul(state, coeff))
                 ad.backward(loss)
-            grads = {k: t.grad.copy() for k, t in params.weights.items()}
-            results.append((loss.item(), grads))
+            return loss.item(), {k: t.grad.copy() for k, t in params.weights.items()}
 
-        assert results[0][0] == results[1][0]
-        for k in results[0][1]:
-            np.testing.assert_array_equal(results[0][1][k], results[1][1][k])
+        # each sequence's last state, alone and in the ragged batch
+        for b, seq in enumerate(seqs):
+            alone = last_state_loss_and_grads(seq, [len(seq)], 0)
+            batched = last_state_loss_and_grads(np.concatenate(seqs), lengths, b)
+            assert alone[0] == batched[0]
+            for k in alone[1]:
+                np.testing.assert_array_equal(alone[1][k], batched[1][k])
 
-    @pytest.mark.parametrize("kind", ["gru", "lstm"])
-    def test_three_step_gradients_match_finite_differences(self, kind):
-        rng = np.random.default_rng(10)
+    def gradients_match_finite_differences(self, kind, lengths, seed):
+        rng = np.random.default_rng(seed)
         params = RecurrentParams.init(kind, 2, 3, rng)
-        rows = ad.parameter(rng.uniform(-1, 1, (5, 2)))   # a 3-step and a 2-step sequence
-        coeff = ad.tensor(rng.uniform(-1, 1, (2, 3, 3)))  # weighs the padded state too
+        rows = ad.parameter(rng.uniform(-1, 1, (sum(lengths), 2)))
+        coeff = ad.tensor(rng.uniform(-1, 1, (len(lengths), max(lengths), 3)))  # padding too
         tensors = list(params.weights.values()) + [rows]
 
         def forward():
-            return ad.sum_over(ad.mul(run_sequence(rows, [3, 2], params), coeff))
+            return ad.sum_over(ad.mul(run_sequence(rows, lengths, params), coeff))
 
         with ad.Tape():
             ad.backward(forward())
@@ -183,6 +184,15 @@ class TestRunSequence:
                     for t in tensors]
         numeric = central_difference(lambda: forward().item(), [t.data for t in tensors])
         assert max_relative_error(analytic, numeric) <= 1e-4
+
+    @pytest.mark.parametrize("kind", ["gru", "lstm"])
+    def test_three_step_gradients_match_finite_differences(self, kind):
+        self.gradients_match_finite_differences(kind, [3, 2], seed=10)
+
+    @pytest.mark.parametrize("kind", ["gru", "lstm"])
+    def test_gradients_through_a_middle_sequence_ending_first(self, kind):
+        # every state is weighted: the state shrinks after step 0 and regrows in backward
+        self.gradients_match_finite_differences(kind, [3, 1, 2], seed=13)
 
     @pytest.mark.parametrize("kind", ["gru", "lstm"])
     def test_overflowing_pre_activation_rejected(self, kind):

@@ -158,3 +158,22 @@ def test_seed_range_ends_and_numpy_seeds_accepted():
     assert as_dicts(first) != as_dicts(last)
     numpy_seeded, _ = generate(config, np.uint64(7919))
     assert as_dicts(numpy_seeded) == as_dicts(generate(config, 7919)[0])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["gap_log_mu", "gap_log_sigma", "mortality_intercept",
+                                   "mortality_weight"])
+def test_non_finite_float_fields_rejected_naming_them(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
+        dataclasses.replace(GenConfig.default(), **{field: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("field, message", [
+    ("boost", "rule boost must be a finite number above 1"),
+    ("halflife_days", "rule halflife_days must be finite and positive")])
+def test_non_finite_rule_fields_rejected_naming_them(field, message, value):
+    rule = dict(trigger_type="diag", trigger_code=0, effect_type="med", effect_code=0,
+                boost=14.0, halflife_days=30.0)
+    with pytest.raises(ValueError, match=f"^{message}, got {value!r}$"):
+        PlantedRule(**dict(rule, **{field: value}))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,22 @@ def test_forward_instance_collects_one_record_per_visit():
     model, instances = build(tiny_config(drops=("cross",)), seed=5)
     _, attention = model.forward_batch([instances[2]])
     assert attention is None
+
+
+@pytest.mark.parametrize("field, value", [
+    ("embed_dim", 0), ("embed_dim", 2.5), ("kernel_dim", True), ("kernel_dim", -2),
+    ("hidden_dim", -1), ("hidden_dim", 4.0), ("demo_dim", 0), ("demo_dim", "8"),
+], ids=["embed-zero", "embed-float", "kernel-bool", "kernel-negative", "hidden-negative",
+        "hidden-float", "demo-zero", "demo-str"])
+def test_model_sizes_must_be_positive_integers(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a positive integer, got "
+                                         f"{re.escape(repr(value))}$"):
+        tiny_config(**{field: value})
+
+
+def test_numpy_integer_model_sizes_accepted():
+    model, instances = build(tiny_config(hidden_dim=np.int64(4), embed_dim=np.int32(3)))
+    assert model.predict(instances).shape == (4, 3)
 
 
 class TestBatchContracts:
