@@ -1,16 +1,14 @@
 """Visit-level attention, the global time gate, fusion, and the output head.
 
 Hidden states from the backbone arrive as a padded ``(B, T, H)`` array, zero
-past each patient's number of visits (``lengths``).  They are combined along
-two routes, each summed over visits in visit order (padding adds exact
-zeros): scaled dot-product self-attention across each patient's own visits
-(one masked ``(B, T, T)`` softmax), whose contexts sum to one attention-
-weighted sum of the states, and a sigmoid gate driven by each visit's elapsed
-time since the first visit that scales the hidden states elementwise (one
-kernel call over the V real visits, scattered back to ``(B, T, H)`` with
-zeros at padded visits).  The two ``(B, H)`` sums are
-added, concatenated with the encoded demographics, and mapped through a
-sigmoid output layer to per-target probabilities, ``(B, n_targets)``.
+past each patient's number of visits (``lengths``).  Two routes each sum them
+over visits, in visit order, into ``(B, H)`` (padding adds exact zeros):
+scaled dot-product self-attention across each patient's own visits (one
+masked ``(B, T, T)`` softmax), and a sigmoid gate on each visit's elapsed time
+since the first visit that scales its state elementwise (one kernel call over
+the V visits' packed times).  The head maps the routes' sum, concatenated with
+the encoded demographics, through a sigmoid output layer to per-target
+probabilities, ``(B, n_targets)``.
 """
 
 from __future__ import annotations
@@ -73,29 +71,29 @@ def visit_self_attention(states: ad.Tensor, lengths):
 
 
 def global_time_gate(states: ad.Tensor, delta_global, lengths, kernel: TimeKernelParams):
-    """Elementwise sigmoid gates from each visit's global decay time.
+    """Elementwise sigmoid gates from each visit's global decay time, summed over visits.
 
-    ``delta_global`` is ``(B, T)`` (already scaled by the caller); each row
-    must start at 0 and be non-decreasing up to its length, and entries past
-    it are ignored.  The kernel and the sigmoid run once over the V real
-    visits, patient after patient, and the gated rows are scattered back into
-    the padded grid.  Returns ``(gated_states, gates)``: ``gated_states`` is
-    ``(B, T, H)``, zero at padded visits; ``gates`` is a list of one
+    ``delta_global`` holds the V = sum(lengths) decay times (already scaled),
+    packed patient after patient; each patient's run must start at 0 and be
+    non-decreasing.  The gates, one kernel call over the V visits, are placed
+    in the padded grid (zero at padding), scale the states and are summed over
+    visits in visit order.  Returns ``(gated, gates)``: ``gated`` is ``(B, H)``
+    like :func:`visit_self_attention`'s ``pooled``; ``gates`` is a list of one
     ``(T_b, H)`` array per patient.
     """
     mask = step_mask(lengths)
     deltas = np.asarray(delta_global, dtype=np.float64)
-    if deltas.shape != mask.shape:
-        raise ValueError(f"decay times of shape {deltas.shape} for visits of shape {mask.shape}")
-    if np.any(deltas[:, 0] != 0.0):
+    if deltas.shape != (mask.sum(),):
+        raise ValueError(f"decay times of shape {deltas.shape} for {mask.sum()} visits")
+    first = np.cumsum(lengths) - lengths
+    if np.any(deltas[first] != 0.0):
         raise ValueError("global decay times must start at 0")
-    if np.any((np.diff(deltas, axis=1) < 0) & mask[:, 1:]):
+    if np.any(np.delete(np.diff(deltas), first[1:] - 1) < 0):   # a new patient may restart lower
         raise ValueError("global decay times must be non-decreasing")
     source = np.where(mask, np.cumsum(mask).reshape(mask.shape), 0)   # padding reads a zero row
-    gates = ad.sigmoid(time_embed(deltas[mask], kernel))
-    real = ad.take_row(ad.reshape(states, (mask.size, -1)), np.flatnonzero(mask))
-    flat = ad.concat([ad.tensor(np.zeros((1, states.shape[-1]))), ad.mul(gates, real)], axis=0)
-    return ad.take_row(flat, source), np.split(gates.data, np.cumsum(lengths)[:-1])
+    gates = ad.sigmoid(time_embed(deltas, kernel))
+    grid = ad.take_row(ad.concat([ad.tensor(np.zeros((1, states.shape[-1]))), gates], axis=0), source)
+    return ad.sum_over(ad.mul(grid, states), axis=1), np.split(gates.data, first[1:])
 
 
 def encode_demographics(demo, params: HeadParams) -> ad.Tensor:
@@ -103,14 +101,11 @@ def encode_demographics(demo, params: HeadParams) -> ad.Tensor:
     return ad.linear(ad.tensor(demo), params.demo_w, params.demo_b)
 
 
-def fuse_and_predict(pooled: ad.Tensor, gated, demo, params: HeadParams) -> ad.Tensor:
-    """Per-target probabilities from the two routes and demographics.
+def fuse_and_predict(fused: ad.Tensor, demo, params: HeadParams) -> ad.Tensor:
+    """Per-target probabilities from the fused visit routes and demographics.
 
-    ``pooled`` is ``(..., H)``, the visit contexts summed over visits.
-    ``gated`` is ``(..., T, H)``, zero at padded visits, or None (global gate
-    ablated); its sum over visits, in visit order, is added to ``pooled``.
-    ``demo`` is ``(..., 3)``.
+    ``fused`` is ``(..., H)``: the visit route's sum over visits, plus the
+    global gate's sum when that route runs.  ``demo`` is ``(..., 3)``.
     """
-    fused = pooled if gated is None else ad.add(pooled, ad.sum_over(gated, axis=-2))
     features = ad.concat([fused, encode_demographics(demo, params)])
     return ad.sigmoid(ad.linear(features, params.out_w, params.out_b))

@@ -51,7 +51,11 @@ class VocabSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "VocabSpec":
-        return cls(med=d["med"], diag=d["diag"], lab=d["lab"], proc=d["proc"])
+        spec = cls(med=d["med"], diag=d["diag"], lab=d["lab"], proc=d["proc"])
+        for key in d:
+            if key not in EVENT_TYPES:
+                raise ValueError(f"unknown event type {key!r}; expected one of {EVENT_TYPES}")
+        return spec
 
 
 @dataclass
@@ -164,6 +168,10 @@ def _code_lists(codes, pid) -> dict:
     """A visit's code lists by event type; else an error naming the patient."""
     if not isinstance(codes, dict):
         raise ValueError(f"patient {pid}: visit codes must be an object, got {codes!r}")
+    for key in codes:
+        if key not in EVENT_TYPES:
+            raise ValueError(f"patient {pid}: unknown event type {key!r} in visit codes; "
+                             f"expected one of {EVENT_TYPES}")
     return {t: [c if type(c) is int else _as_code(c) for c in codes.get(t, [])]
             for t in EVENT_TYPES}
 
@@ -278,11 +286,11 @@ def load_vocab(vocab_path: str) -> VocabSpec:
 
 
 def load_dataset(data_path: str, vocab_path: str = None):
-    """Read a cohort, validating every record; errors carry line numbers."""
+    """Read a cohort, validating every record and id; errors carry line numbers."""
     if vocab_path is None:
         vocab_path = os.path.join(os.path.dirname(data_path), "vocab.json")
     vocab = load_vocab(vocab_path)
-    records = []
+    records, first_line = [], {}
     with open(data_path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -293,5 +301,9 @@ def load_dataset(data_path: str, vocab_path: str = None):
                 rec.validate(vocab)
             except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as exc:
                 raise ValueError(f"{data_path}:{lineno}: malformed record: {exc}") from exc
+            if rec.patient_id in first_line:
+                raise ValueError(f"{data_path}:{lineno}: duplicate patient_id {rec.patient_id!r}, "
+                                 f"first on line {first_line[rec.patient_id]}")
+            first_line[rec.patient_id] = lineno
             records.append(rec)
     return records, vocab

@@ -117,6 +117,9 @@ class GenConfig:
                                 (rule.effect_type, rule.effect_code)):
                 if not 0 <= code < vocab.size(etype):
                     raise ValueError(f"rule code {etype}:{code} outside vocabulary")
+        for etype, code in self.severe_codes:
+            if etype not in EVENT_TYPES or not 0 <= code < vocab.size(etype):
+                raise ValueError(f"severe code {etype}:{code} outside vocabulary")
 
     def vocab(self) -> VocabSpec:
         return VocabSpec(**{etype: len(self.base_prevalence[etype]) for etype in EVENT_TYPES})

@@ -13,11 +13,12 @@ one masked ``(V, Q, K)`` cross-event softmax of each visit's Q gathered
 queries over its K tokens, one input projection per gate, then
 ``T = max visits`` recurrent steps, each on the patients that still have a
 visit at that step, one masked ``(B, T, T)`` visit attention summed over
-visits into ``(B, H)`` and one gate call over the V visits, scattered back
-to ``(B, T, H)``.  Padding (tokens past a visit's codes, steps past a
-patient's visits) is skipped, masked out or zeroed at every layer, and every
-sum that padding extends adds in a fixed order, so a patient's probabilities
-are bitwise the same alone as in any batch.
+visits into ``(B, H)``, one gate call over the V visits' packed times, also
+summed into ``(B, H)``, and one head call on the two sums added.  Padding
+(tokens past a visit's codes, steps past a patient's visits) is skipped,
+masked out or zeroed at every layer, and every sum that padding extends adds
+in a fixed order, so a patient's probabilities are bitwise the same alone as
+in any batch.
 
 Ablation variants substitute documented replacements for single components:
 without cross-event attention the visit vector holds raw embeddings in the
@@ -37,13 +38,13 @@ import numpy as np
 from catnet import autodiff as ad
 from catnet.aggregate import HeadParams, fuse_and_predict, global_time_gate, visit_self_attention
 from catnet.attention import CodeEmbeddings, attend, build_token_set, output_width, raw_slot_layout
-from catnet.backbone import GATES, RecurrentParams, run_sequence, step_mask
+from catnet.backbone import GATES, RecurrentParams, run_sequence
 from catnet.cohort import (DEMOGRAPHICS_DIM, EVENT_TYPES, TaskSpec, VocabSpec, derive_intervals,
                            extract_task_instances)
 from catnet.time_kernel import TimeKernelParams, time_embed
 
 COMPONENT_DROPS = ("cross", "visit", "global")
-EVENT_DROPS = ("diag", "lab", "proc", "time", "aux")
+EVENT_DROPS = EVENT_TYPES + ("time", "aux")
 TIME_SCALE_DAYS = 30.0  # gaps enter both time kernels in units of this many days
 
 
@@ -176,7 +177,6 @@ class CatnetModel:
         if not instances:
             raise ValueError("forward_batch: empty batch; pass at least one instance")
         lengths = np.array([len(inst.visits) for inst in instances])
-        mask = step_mask(lengths)
         visits = [visit for inst in instances for visit in inst.visits]
         if self.constant_interval is None:
             delta_prev = np.concatenate([inst.delta_prev for inst in instances])
@@ -196,17 +196,14 @@ class CatnetModel:
 
         states = run_sequence(x, lengths, self.rnn)
         if "visit" in cfg.drops:
-            pooled = ad.sum_over(states, axis=1)
+            fused = ad.sum_over(states, axis=1)
         else:
-            pooled, _ = visit_self_attention(states, lengths)
-        if "global" in cfg.drops:
-            gated = None
-        else:
-            gaps = np.zeros(mask.shape)
-            gaps[mask] = np.concatenate([inst.delta_global for inst in instances]) / TIME_SCALE_DAYS
-            gated, _ = global_time_gate(states, gaps, lengths, self.decay_kernel)
+            fused, _ = visit_self_attention(states, lengths)
+        if "global" not in cfg.drops:
+            gaps = np.concatenate([inst.delta_global for inst in instances]) / TIME_SCALE_DAYS
+            fused = ad.add(fused, global_time_gate(states, gaps, lengths, self.decay_kernel)[0])
         demo = np.stack([inst.demo for inst in instances])
-        return fuse_and_predict(pooled, gated, demo, self.head), attention
+        return fuse_and_predict(fused, demo, self.head), attention
 
     def forward_instance(self, instance: TaskInstance):
         """Evaluation-mode probabilities ``(n_targets,)`` for one instance: a batch of one."""

@@ -8,10 +8,9 @@ since the first visit (driving the global gate).  The kernel is
 
 whose inner component lies in (0, 1], saturating towards 0 as the gap grows.
 It maps an array of gaps of any shape at once: a scalar gap gives one
-``(out,)`` vector, ``V`` gaps a ``(V, out)`` array, a padded ``(B, T)`` grid a
-``(B, T, out)`` array.  Every gap is embedded on its own, so padding gaps
-(zeros) change nothing for the others.  Callers are expected to scale raw day
-values before embedding; the kernel itself applies none.
+``(out,)`` vector, ``V`` gaps a ``(V, out)`` array.  Every gap is embedded on
+its own, so no gap changes another's embedding.  Callers are expected to scale
+raw day values before embedding; the kernel itself applies none.
 """
 
 from __future__ import annotations

@@ -123,23 +123,35 @@ class TestPooledReadout:
 class TestGlobalGate:
     def test_zero_kernel_gates_at_half(self):
         hs, lengths = one([np.array([1.0, -2.0]), np.array([0.5, 0.5])])
-        gated, gates = global_time_gate(hs, [[0.0, 3.0]], lengths, zero_gate_kernel(2))
+        gated, gates = global_time_gate(hs, [0.0, 3.0], lengths, zero_gate_kernel(2))
         np.testing.assert_array_equal(gates[0], 0.5)
-        np.testing.assert_allclose(gated.data[0, 0], [0.5, -1.0], rtol=1e-15)
+        np.testing.assert_allclose(gated.data, [[0.75, -0.75]], rtol=1e-15)
 
     def test_gates_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(3)
         kernel = TimeKernelParams.init(hidden=3, out=4, rng=rng)
         hs, lengths = one([rng.uniform(-1, 1, 4) for _ in range(4)])
-        _, gates = global_time_gate(hs, [[0.0, 1.0, 5.0, 5.0]], lengths, kernel)
+        _, gates = global_time_gate(hs, [0.0, 1.0, 5.0, 5.0], lengths, kernel)
         assert np.all(gates[0] > 0.0) and np.all(gates[0] < 1.0)
 
     def test_decreasing_decay_times_rejected(self):
         hs, lengths = one([np.zeros(2), np.zeros(2)])
         with pytest.raises(ValueError, match="non-decreasing"):
-            global_time_gate(hs, [[0.0, -1.0]], lengths, zero_gate_kernel(2))
+            global_time_gate(hs, [0.0, -1.0], lengths, zero_gate_kernel(2))
         with pytest.raises(ValueError, match="start at 0"):
-            global_time_gate(hs, [[1.0, 2.0]], lengths, zero_gate_kernel(2))
+            global_time_gate(hs, [1.0, 2.0], lengths, zero_gate_kernel(2))
+
+    def test_packed_times_checked_per_patient(self):
+        kernel = zero_gate_kernel(2)
+        two = ad.tensor(np.zeros((2, 2, 2)))
+        _, gates = global_time_gate(two, [0.0, 5.0, 0.0, 1.0], [2, 2], kernel)  # drop at a boundary
+        assert [g.shape for g in gates] == [(2, 2), (2, 2)]
+        with pytest.raises(ValueError, match="non-decreasing"):
+            global_time_gate(ad.tensor(np.zeros((1, 3, 2))), [0.0, 5.0, 4.0], [3], kernel)
+        with pytest.raises(ValueError, match="start at 0"):
+            global_time_gate(two, [0.0, 5.0, 1.0, 2.0], [2, 2], kernel)
+        with pytest.raises(ValueError, match=r"decay times of shape \(3,\) for 4 visits"):
+            global_time_gate(two, [0.0, 5.0, 0.0], [2, 2], kernel)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(4)
@@ -149,9 +161,8 @@ class TestGlobalGate:
         tensors = [kernel.w1, kernel.b1, kernel.w2, kernel.b2]
 
         def forward():
-            gated, _ = global_time_gate(*one(hs_data)[:1], [[0.0, 2.0, 7.0]], [3], kernel)
-            total = ad.sum_over(ad.take_row(gated, 0), axis=0)
-            return ad.sum_over(ad.mul(total, ad.tensor(coeff)))
+            gated, _ = global_time_gate(make_states(hs_data), [0.0, 2.0, 7.0], [3], kernel)
+            return ad.sum_over(ad.mul(ad.take_row(gated, 0), ad.tensor(coeff)))
 
         with ad.Tape():
             ad.backward(forward())
@@ -167,23 +178,21 @@ class TestGlobalGate:
         tensors = [kernel.w1, kernel.b1, kernel.w2, kernel.b2]
 
         def run(states, deltas, lengths):
-            """Patient 0's gated values and gates, and the gradients of a loss on them."""
+            """Patient 0's gated sum and gates, and the gradients of a loss on that sum."""
             states = ad.parameter(states)
             for t in tensors:
                 t.grad = None
             with ad.Tape():
                 gated, gates = global_time_gate(states, deltas, lengths, kernel)
-                total = ad.sum_over(ad.take_row(gated, 0), axis=0)
-                ad.backward(ad.sum_over(ad.mul(total, coeff)))
+                ad.backward(ad.sum_over(ad.mul(ad.take_row(gated, 0), coeff)))
             return gated.data[0], gates[0], states.grad[0], [t.grad.copy() for t in tensors]
 
-        alone = run(short[None], [[0.0, 2.5]], [2])
-        # entries past patient 0's length are ignored, whatever they hold
-        padded = run(padded_states([short, longer], [2, 4]),
-                     [[0.0, 2.5, 99.0, 5.0], [0.0, 1.0, 3.0, 9.0]], [2, 4])
-        for a, b in zip(alone[:3], padded[:3]):
-            np.testing.assert_array_equal(a, b[:2])
-            np.testing.assert_array_equal(b[2:], 0.0)
+        alone = run(short[None], [0.0, 2.5], [2])
+        padded = run(padded_states([short, longer], [2, 4]), [0.0, 2.5, 0.0, 1.0, 3.0, 9.0], [2, 4])
+        np.testing.assert_array_equal(alone[0], padded[0])
+        np.testing.assert_array_equal(alone[1], padded[1])
+        np.testing.assert_array_equal(alone[2], padded[2][:2])
+        np.testing.assert_array_equal(padded[2][2:], 0.0)
         for a, b in zip(alone[3], padded[3]):
             np.testing.assert_array_equal(a, b)
 
@@ -195,19 +204,22 @@ class TestFuseAndPredict:
                           out_w=ad.parameter(np.zeros((n_targets, hidden_dim + demo_dim))),
                           out_b=ad.parameter(np.zeros(n_targets)))
 
+    def fused(self, hs, deltas, lengths, kernel):
+        """Visit-attention and gate sums added, as the network fuses them."""
+        pooled, alpha = visit_self_attention(hs, lengths)
+        gated, gates = global_time_gate(hs, deltas, lengths, kernel)
+        return ad.add(pooled, gated), alpha, gates
+
     def test_all_zero_params_predict_half(self):
         hs, lengths = one([np.array([1.0, 2.0, 3.0])])
-        pooled, _ = visit_self_attention(hs, lengths)
-        gated, _ = global_time_gate(hs, [[0.0]], lengths, zero_gate_kernel(3))
-        y = fuse_and_predict(pooled, gated, np.array([[0.5, 1.0, 0.0]]), self.zero_head())
+        fused, _, _ = self.fused(hs, [0.0], lengths, zero_gate_kernel(3))
+        y = fuse_and_predict(fused, np.array([[0.5, 1.0, 0.0]]), self.zero_head())
         np.testing.assert_array_equal(y.data, 0.5)
 
     def test_single_visit_zero_gate_fuses_to_one_and_a_half(self):
         h = np.array([0.4, -1.0, 2.0])
         hs, lengths = one([h])
-        pooled, _ = visit_self_attention(hs, lengths)
-        gated, _ = global_time_gate(hs, [[0.0]], lengths, zero_gate_kernel(3))
-        fused = ad.add(pooled, ad.sum_over(gated, axis=1))
+        fused, _, _ = self.fused(hs, [0.0], lengths, zero_gate_kernel(3))
         np.testing.assert_allclose(fused.data[0], 1.5 * h, rtol=1e-15)
 
     def test_identical_states_and_times_sum_to_t_times_first(self):
@@ -216,12 +228,9 @@ class TestFuseAndPredict:
         kernel = TimeKernelParams.init(hidden=2, out=4, rng=rng)
         T = 5
         hs, lengths = one([h] * T)
-        pooled, alpha = visit_self_attention(hs, lengths)
-        gated, _ = global_time_gate(hs, [[0.0] * T], lengths, kernel)
-        total = ad.add(pooled, ad.sum_over(gated, axis=1))
+        total, alpha, gates = self.fused(hs, [0.0] * T, lengths, kernel)
         first_context = alpha[0][0] @ hs.data[0]
-        np.testing.assert_allclose(total.data[0],
-                                   T * (first_context + gated.data[0, 0]), rtol=1e-12)
+        np.testing.assert_allclose(total.data[0], T * (first_context + gates[0][0] * h), rtol=1e-12)
 
     def test_random_instance_matches_straight_line_oracle(self):
         rng = np.random.default_rng(6)
@@ -234,9 +243,8 @@ class TestFuseAndPredict:
         head.demo_b.data[...] = rng.uniform(-0.5, 0.5, demo_dim)
         head.out_b.data[...] = rng.uniform(-0.5, 0.5, n_targets)
 
-        pooled, _ = visit_self_attention(*one(hs))
-        gated, _ = global_time_gate(make_states(hs), [deltas], [T], kernel)
-        y = fuse_and_predict(pooled, gated, demo[None], head)
+        fused, _, _ = self.fused(make_states(hs), deltas, [T], kernel)
+        y = fuse_and_predict(fused, demo[None], head)
 
         # independent straight-line evaluation on plain arrays
         H = np.stack(hs)
@@ -258,7 +266,7 @@ class TestFuseAndPredict:
         rng = np.random.default_rng(7)
         head = HeadParams.init(3, 2, 3, 6, rng)
         pooled, _ = visit_self_attention(*one([rng.uniform(-5, 5, 3) for _ in range(2)]))
-        y = fuse_and_predict(pooled, None, rng.uniform(0, 1, (1, 3)), head)
+        y = fuse_and_predict(pooled, rng.uniform(0, 1, (1, 3)), head)
         assert np.all(y.data > 0.0) and np.all(y.data < 1.0)
 
     def test_demographics_encoding_is_linear(self):

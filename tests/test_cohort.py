@@ -202,6 +202,27 @@ class TestValidation:
         before = [r.mortality for r in make_cohort(2)]
         assert [r.mortality for r in load_dataset(str(data))[0]] == [not m for m in before]
 
+    def test_unknown_event_type_in_visit_rejected_on_load(self, tmp_path, vocab):
+        data = tmp_path / "cohort.jsonl"
+        save_dataset(make_cohort(3), vocab, str(data))
+        lines = data.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["visits"][0]["codes"] = {"med": [1], "diagg": [2], "vitals": [7]}
+        lines[1] = json.dumps(record)
+        data.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"cohort\.jsonl:2: malformed record: patient p1: "
+                                             r"unknown event type 'diagg' in visit codes"):
+            load_dataset(str(data))
+
+    def test_duplicate_patient_id_rejected_on_load(self, tmp_path, vocab):
+        records = make_cohort(3)
+        records[2].patient_id = "p0"
+        data = tmp_path / "cohort.jsonl"
+        save_dataset(records, vocab, str(data))
+        with pytest.raises(ValueError, match=r"cohort\.jsonl:3: duplicate patient_id 'p0', "
+                                             r"first on line 1$"):
+            load_dataset(str(data))
+
     BAD_MED_SIZE = "vocab size for med must be a non-negative integer, got "
 
     @pytest.mark.parametrize("text, shown", [
@@ -210,7 +231,8 @@ class TestValidation:
         ('{"med":true,"diag":3,"lab":2,"proc":1}', BAD_MED_SIZE + "True"),
         ('{"med":4,"diag":3,"lab":2}', "'proc'"),
         ("[4, 3, 2, 1]", "list indices must be integers"),
-    ], ids=["fraction", "string", "bool", "missing-key", "list"])
+        ('{"med":4,"diag":3,"lab":2,"proc":1,"vitals":5}', "unknown event type 'vitals'"),
+    ], ids=["fraction", "string", "bool", "missing-key", "list", "unknown-type"])
     def test_malformed_vocab_rejected_with_path(self, tmp_path, text, shown):
         path = tmp_path / "vocab.json"
         path.write_text(text + "\n")

@@ -86,6 +86,14 @@ def test_prevalence_lists_must_be_flat_probabilities(lab):
         GenConfig(base_prevalence=dict(GenConfig().base_prevalence, lab=lab))
 
 
+
+@pytest.mark.parametrize("entry", [("diagg", 0), ("diag", 99), ("lab", -1)],
+                         ids=["unknown-type", "past-vocab", "negative"])
+def test_severe_codes_checked_against_the_vocabulary(entry):
+    etype, code = entry
+    with pytest.raises(ValueError, match=f"^severe code {etype}:{code} outside vocabulary$"):
+        GenConfig(severe_codes=[("diag", 0), entry])
+
 def _long_sparse():
     base = GenConfig.default()
     return dataclasses.replace(

@@ -186,9 +186,11 @@ class TestBatchContracts:
     """Exactness of the batched forward on patients of unequal visit and code counts."""
 
     configs = [tiny_config(), tiny_config(mode="task-unaware", backbone="lstm"),
-               tiny_config(drops=("cross", "time", "visit"))]
+               tiny_config(backbone="lstm"), tiny_config(drops=("cross", "time", "visit")),
+               tiny_config(drops=("global",)), tiny_config(drops=("visit", "global"))]
+    ids = ["aware-gru", "unaware-lstm", "aware-lstm", "drops", "no-gate", "no-visit-no-gate"]
 
-    @pytest.mark.parametrize("cfg", configs, ids=["aware-gru", "unaware-lstm", "drops"])
+    @pytest.mark.parametrize("cfg", configs, ids=ids)
     def test_predict_rows_equal_forward_instance_bitwise(self, cfg):
         model, instances = build(cfg, seed=12)
         assert len({len(inst.visits) for inst in instances}) >= 3
@@ -196,14 +198,15 @@ class TestBatchContracts:
             np.testing.assert_array_equal(row, model.forward_instance(inst).data)
 
     def test_patient_unchanged_when_longer_patients_join(self):
-        model, instances = build(tiny_config(), seed=13)
-        short = instances[3]
-        alone = model.predict([short])[0]
-        for batch in (instances, instances[::-1], [short, instances[2], short]):
-            rows = model.predict(batch)
-            for i, inst in enumerate(batch):
-                if inst is short:
-                    np.testing.assert_array_equal(rows[i], alone)
+        for cfg in self.configs:
+            model, instances = build(cfg, seed=13)
+            short = instances[3]
+            alone = model.predict([short])[0]
+            for batch in (instances, instances[::-1], [short, instances[2], short]):
+                rows = model.predict(batch)
+                for i, inst in enumerate(batch):
+                    if inst is short:
+                        np.testing.assert_array_equal(rows[i], alone)
 
     def test_within_type_permutation_equivariance_through_model(self):
         # diag tokens are keys only in task-aware med, so relabelling diag codes
@@ -305,6 +308,24 @@ class TestAblationVariants:
         blanked = [
             PatientRecord(r.patient_id, r.age_years, r.sex,
                           [Visit(v.time_days, {**v.codes, "diag": []}) for v in r.visits],
+                          r.mortality)
+            for r in records
+        ]
+        task = cfg.task_spec
+        np.testing.assert_array_equal(
+            model.predict(build_instances(records, task, vocab)),
+            model.predict(build_instances(blanked, task, vocab)))
+
+    @pytest.mark.parametrize("task", ["diag", "mortality"])
+    def test_dropped_med_is_invisible_to_other_tasks(self, task):
+        mode = "task-aware" if task == "diag" else "task-unaware"
+        cfg = tiny_config(task=task, mode=mode, drops=("med",))
+        vocab = tiny_vocab()
+        model = CatnetModel(cfg, vocab, np.random.default_rng(8))
+        records = tiny_records()
+        blanked = [
+            PatientRecord(r.patient_id, r.age_years, r.sex,
+                          [Visit(v.time_days, {**v.codes, "med": []}) for v in r.visits],
                           r.mortality)
             for r in records
         ]
