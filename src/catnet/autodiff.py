@@ -20,7 +20,7 @@ backward, are ``add``, ``mul``, ``tanh``, ``sigmoid`` (values by
 gradient rule of their own: ``scale``, ``affine`` and ``sub`` from ``mul`` and
 ``add`` with constants, ``matmul`` from ``einsum``, ``stack`` from ``reshape``
 and ``concat``, ``mean`` from ``sum_over`` and ``scale``.  An op written
-elsewhere (the fused recurrence in :mod:`catnet.backbone`) uses the same
+elsewhere (the whole recurrent cell in :mod:`catnet.backbone`) uses the same
 helpers.  Nothing in the package calls ``sub``, ``matmul``, ``stack`` or
 ``mean``; they stay only because the benchmark's op list (``OPS`` in
 ``bench/spans.py``) counts them by name, and they go together with that list.
@@ -30,16 +30,16 @@ blocks of exactly ``ROW_BLOCK`` zero-padded rows, so a row's bits depend
 neither on its neighbours nor on its position (a plain ``x @ w`` sends a lone
 row to another kernel).  Given weights with a leading gate axis, it runs one
 ``np.matmul`` whose every block is the same product a single gate would run;
-the recurrence applies its state maps so.  ``linear`` takes its values and
-input gradient from it, and its weight gradient from :func:`outer_sum`,
-which drops zero-gradient rows first (a BLAS sum over rows groups its terms
-by position, so padding rows would move the grouping) and multiplies the kept
-rows as ``row_product`` blocks as well: OpenBLAS keeps blocks of this size on
-the calling thread, where one large product would wake worker threads.  The
-batched attention contractions stay on ``np.einsum`` without path
-optimisation (one dot product in index order per output entry), because
-their padding grows the query and key axes of each product, and a BLAS call
-of another shape may take another kernel.  Sums over an axis that padding
+the recurrent cell applies its input and state maps so.  ``linear`` takes its
+values and input gradient from it, and its weight gradient from
+:func:`outer_sum`, which drops zero-gradient rows first (a BLAS sum over rows
+groups its terms by position, so padding rows would move the grouping) and
+multiplies the kept rows as ``row_product`` blocks as well: OpenBLAS keeps
+blocks of this size on the calling thread, where one large product would wake
+worker threads.  The batched attention contractions stay on ``np.einsum``
+without path optimisation (one dot product in index order per output entry),
+because their padding grows the query and key axes of each product, and a BLAS
+call of another shape may take another kernel.  Sums over an axis that padding
 fills with zeros add their terms one after another in index order
 (:func:`sum_over`, :func:`stable_softmax`, :func:`weighted_row_sum`), so
 padding never changes a result bit; a caller that needs a sum independent of
@@ -145,13 +145,17 @@ def record(op, data, inputs, backward_fn):
     """
     data = np.asarray(data, dtype=np.float64)
     check_finite(op, data, inputs)
-    tape = _active_tape()
-    needs = tape is not None and any(t.requires_grad for t in inputs)
+    needs = recording(inputs)
     out = Tensor.__new__(Tensor)
     out._set(data, needs)
     if needs:
-        tape._record(out, backward_fn)
+        _active_tape()._record(out, backward_fn)
     return out
+
+
+def recording(inputs):
+    """Whether an op on ``inputs`` is recorded: a tape is active and some input needs a gradient."""
+    return _active_tape() is not None and any(t.requires_grad for t in inputs)
 
 
 def accumulate(t, delta):

@@ -3,22 +3,21 @@
 Single-layer, unidirectional GRU or LSTM cells with zero initial state.  A
 batch of B sequences arrives packed: ``inputs`` holds the V = sum(lengths)
 input vectors one sequence after another, and ``lengths`` says how many
-belong to each.  Each gate's input projection runs once over all V rows and
-is gathered time-major: step t's rows are the sequences still running at t,
-in batch order, so the state shrinks by one gather where a sequence ends and
-no padded step is computed.  All T = max(lengths) steps are one tape op in
-numpy: the forward evaluates the same expressions, in the same order, as
-per-step autodiff ops would, with ``ad.logistic`` as ``ad.sigmoid``'s values
-and the state maps as ``ad.linear``'s products (``ad.row_product``, whose gate
-axis runs every map that reads the same rows in one call, and
-``ad.outer_sum`` for their gradients); the backward is hand-written
-backpropagation through time over the gate activations the forward kept
-(only while a tape records), handing each carried gradient back to the rows
-that ran on.  Every gate pre-activation goes through ``ad.check_finite``, the
-check every tape op makes, so the error names the op and the shapes of its
-inputs.  States come back as ``(B, T, H)``, zero past each length.  A row's
-products never depend on the other rows, so batch composition and padding
-never change a sequence's hidden states or gradients.
+belong to each.  The whole cell, input maps included, is one tape op in
+numpy.  All gates' input maps run once over the V rows, gathered time-major:
+step t's rows are the sequences still running at t, in batch order, so the
+state shrinks by one gather where a sequence ends and no padded step is
+computed.  The forward evaluates the same expressions, in the same order, as
+per-gate ``ad.linear`` and per-step autodiff ops would, with ``ad.logistic``
+as ``ad.sigmoid``'s values and every map as ``ad.row_product`` blocks, whose
+gate axis runs all maps that read the same rows in one call; the backward is
+hand-written backpropagation through time over the activations kept while a
+tape records, then through the input maps, adding each gradient in the order
+those ops would (``ad.outer_sum`` for the maps).  Every gate pre-activation
+goes through ``ad.check_finite``, so the error names the op and the shapes of
+its inputs.  States come back as ``(B, T, H)``, zero past each length.  A
+row's products never depend on the other rows, so batch composition and
+padding never change a sequence's hidden states or gradients.
 """
 
 from __future__ import annotations
@@ -29,31 +28,33 @@ import numpy as np
 
 from catnet import autodiff as ad
 
-GATES = {"gru": ("z", "r", "h"), "lstm": ("i", "f", "o", "g")}  # gate names per backbone kind
+GATES = {"gru": ("z", "r", "h"), "lstm": ("i", "f", "o", "g")}  # gate order of the stacked maps
 
 
 @dataclass
 class RecurrentParams:
-    """Gate weights for one cell: per gate, input map, state map, and bias."""
+    """One cell's input maps ``w`` (G, H, I), state maps ``u`` (G, H, H), biases ``b`` (G, H)."""
 
     kind: str
-    weights: dict
+    w: ad.Tensor
+    u: ad.Tensor
+    b: ad.Tensor
 
     @classmethod
     def init(cls, kind: str, input_dim: int, hidden_dim: int, rng: np.random.Generator):
+        """Glorot-uniform maps drawn gate by gate, input map then state map; zero biases."""
         if kind not in GATES:
             raise ValueError(f"unknown backbone kind {kind!r}; expected one of {tuple(GATES)}")
         bound_w = np.sqrt(6.0 / (input_dim + hidden_dim))
         bound_u = np.sqrt(6.0 / (2 * hidden_dim))
-        weights = {}
-        for gate in GATES[kind]:
-            weights[f"w{gate}"] = ad.parameter(rng.uniform(-bound_w, bound_w, (hidden_dim, input_dim)))
-            weights[f"u{gate}"] = ad.parameter(rng.uniform(-bound_u, bound_u, (hidden_dim, hidden_dim)))
-            weights[f"b{gate}"] = ad.parameter(np.zeros(hidden_dim))
-        return cls(kind=kind, weights=weights)
+        w, u = zip(*[(rng.uniform(-bound_w, bound_w, (hidden_dim, input_dim)),
+                      rng.uniform(-bound_u, bound_u, (hidden_dim, hidden_dim)))
+                     for _ in GATES[kind]])
+        return cls(kind, ad.parameter(np.stack(w)), ad.parameter(np.stack(u)),
+                   ad.parameter(np.zeros((len(w), hidden_dim))))
 
-    def named(self, prefix: str = "rnn") -> dict:
-        return {f"{prefix}_{name}": t for name, t in self.weights.items()}
+    def named(self) -> dict:
+        return {"rnn_w": self.w, "rnn_u": self.u, "rnn_b": self.b}
 
 
 def step_mask(lengths) -> np.ndarray:
@@ -63,29 +64,19 @@ def step_mask(lengths) -> np.ndarray:
 
 
 def run_sequence(inputs: ad.Tensor, lengths, params: RecurrentParams) -> ad.Tensor:
-    """Hidden states ``(B, T, H)`` of the packed sequences; zero past each length."""
+    """One tape op: packed ``(V, I)`` inputs -> states ``(B, T, H)``, zero past each length."""
     lengths = np.asarray(lengths, dtype=np.intp)
     if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 \
             or lengths.sum() != inputs.shape[0]:
         raise ValueError(f"sequence lengths {lengths.tolist()} do not split "
                          f"{inputs.shape[0]} input rows")
-    w = params.weights
-    gates = GATES[params.kind]
-    width = w[f"w{gates[0]}"].shape[1]
-    if inputs.data.ndim != 2 or inputs.shape[1] != width:
-        raise ValueError(f"run_sequence: input shape mismatch {inputs.shape} vs (V, {width})")
+    kind, w, u, b = params.kind, params.w.data, params.u.data, params.b.data
+    if inputs.data.ndim != 2 or inputs.shape[1] != w.shape[2]:
+        raise ValueError(f"run_sequence: input shape mismatch {inputs.shape} vs (V, {w.shape[2]})")
     # the V real rows, time-major; within a step, the running sequences in batch order
     step, seq = np.nonzero(step_mask(lengths).T)
     rows = (np.cumsum(lengths) - lengths)[seq] + step
-    projected = [ad.take_row(ad.linear(inputs, w[f"w{g}"], w[f"b{g}"]), rows) for g in gates]
-    return _recurrence(params.kind, projected, [w[f"u{g}"] for g in gates], lengths, step, seq)
-
-
-def _recurrence(kind, projected, state_maps, lengths, step, seq):
-    """One tape op: packed ``(V, H)`` gate projections and ``(H, H)`` state maps -> ``(B, T, H)``."""
-    inputs = projected + state_maps
-    x = np.stack([p.data for p in projected])           # (G, V, H)
-    u = np.stack([m.data for m in state_maps])          # (G, H, H)
+    x = (ad.row_product(inputs.data, w.transpose(0, 2, 1)) + b[:, None])[:, rows]   # (G, V, H)
     u_t = u.transpose(0, 2, 1)
     n_gates, n_rows, hidden = x.shape
     offs = np.searchsorted(step, np.arange(lengths.max() + 1))   # step t: rows offs[t]:offs[t+1]
@@ -95,8 +86,8 @@ def _recurrence(kind, projected, state_maps, lengths, step, seq):
                              np.flatnonzero(lengths[seq[offs[t - 1]:offs[t]]] > t)
                              for t in range(1, len(count))]
     spans = list(zip(offs[:-1], offs[1:], keeps))
-    # projections carry gradients only while a tape records (their input maps are parameters)
-    cache = [] if any(p.requires_grad for p in projected) else None
+    tensors = (inputs, params.w, params.u, params.b)
+    cache = [] if ad.recording(tensors) else None
     pre = np.empty(x.size)        # each step's (G, n, H) pre-activations, checked below
     out = np.empty((n_rows, hidden))
     h = c = np.zeros((count[0], hidden))
@@ -118,14 +109,14 @@ def _recurrence(kind, projected, state_maps, lengths, step, seq):
         if cache is not None:
             cache.append((h_prev, c_prev) + acts)
     op = f"{kind} recurrence"
-    ad.check_finite(op, pre, inputs)
+    ad.check_finite(op, pre, tensors)
     states = np.zeros((len(lengths), len(count), hidden))
     states[seq, step] = out
 
     def bwd(grad):
         """Backpropagation through time, adding each gradient in the order the per-step ops would."""
         dx = np.empty_like(x)
-        du = [np.zeros_like(m) for m in u]
+        du = np.zeros_like(u)
         dh_rows, dc = grad[seq, step], 0.0
         carry, carried = (), slice(None)   # step t+1's gradients for h_t, and the rows they reach
         for (lo, hi, keep), (h_prev, c_prev, *acts) in zip(spans[::-1], cache[::-1]):
@@ -155,8 +146,13 @@ def _recurrence(kind, projected, state_maps, lengths, step, seq):
             for k, source in enumerate(sources):
                 du[k] += ad.outer_sum(dx[k, lo:hi], source)
             carried = keep
-        for k, (p, m) in enumerate(zip(projected, state_maps)):
-            ad.accumulate(p, dx[k])
-            ad.accumulate(m, du[k])
+        ad.accumulate(params.u, du)
+        # back to patient-major rows; + 0.0 turns -0.0 into +0.0, as take_row's scatter-add does
+        d_pre = dx[:, np.argsort(rows)] + 0.0
+        ad.accumulate(params.b, np.cumsum(d_pre, axis=1)[:, -1])
+        ad.accumulate(params.w, np.stack([ad.outer_sum(d, inputs.data) for d in d_pre]))
+        if inputs.requires_grad:
+            for d in ad.row_product(d_pre, w)[::-1]:   # last gate first, as the per-gate ops ran
+                ad.accumulate(inputs, d)
 
-    return ad.record(op, states, inputs, bwd)
+    return ad.record(op, states, tensors, bwd)

@@ -210,6 +210,8 @@ class TaskSpec:
         return self.target != "mortality"
 
     def target_dim(self, vocab: VocabSpec) -> int:
+        if self.is_code_task and vocab.size(self.target) == 0:
+            raise ValueError(f"task {self.target!r} has no codes in the vocabulary")
         return vocab.size(self.target) if self.is_code_task else 1
 
 

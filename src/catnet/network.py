@@ -10,15 +10,15 @@ time gate, and mapped to per-target probabilities.
 B patients with V visits in all.  The V visits are packed patient after
 patient: one ``(V,)`` interval-kernel call, one ``(V, K, E)`` token gather,
 one masked ``(V, Q, K)`` cross-event softmax of each visit's Q gathered
-queries over its K tokens, one input projection per gate, then
-``T = max visits`` recurrent steps, each on the patients that still have a
-visit at that step, one masked ``(B, T, T)`` visit attention summed over
-visits into ``(B, H)``, one gate call over the V visits' packed times, also
-summed into ``(B, H)``, and one head call on the two sums added.  Padding
-(tokens past a visit's codes, steps past a patient's visits) is skipped,
-masked out or zeroed at every layer, and every sum that padding extends adds
-in a fixed order, so a patient's probabilities are bitwise the same alone as
-in any batch.
+queries over its K tokens, one recurrent op that maps every gate's input over
+the V visits and runs ``T = max visits`` steps, each on the patients that
+still have a visit at that step, one masked ``(B, T, T)`` visit attention
+summed over visits into ``(B, H)``, one gate call over the V visits' packed
+times, also summed into ``(B, H)``, and one head call on the two sums added.
+Padding (tokens past a visit's codes, steps past a patient's visits) is
+skipped, masked out or zeroed at every layer, and every sum that padding
+extends adds in a fixed order, so a patient's probabilities are bitwise the
+same alone as in any batch.
 
 Ablation variants substitute documented replacements for single components:
 without cross-event attention the visit vector holds raw embeddings in the
@@ -50,6 +50,8 @@ TIME_SCALE_DAYS = 30.0  # gaps enter both time kernels in units of this many day
 
 def resolve_drops(names, task: str):
     """Validate ablation drop names against the task's primary type."""
+    if not isinstance(names, (tuple, list)):
+        raise ValueError(f"ablation drops must be a tuple or list of names, got {names!r}")
     seen = []
     for name in names:
         if name not in COMPONENT_DROPS + EVENT_DROPS:
@@ -85,6 +87,8 @@ class ModelConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         object.__setattr__(self, "drops", resolve_drops(self.drops, self.task))
+        if self.dropped_types() == set(EVENT_TYPES):
+            raise ValueError(f"drops {self.drops} leave task {self.task!r} no visible event type")
 
     @property
     def task_spec(self) -> TaskSpec:
@@ -151,7 +155,7 @@ class CatnetModel:
         named.update(self.embeddings.named())
         named.update(self.interval_kernel.named("dt"))
         named.update(self.decay_kernel.named("gt"))
-        named.update(self.rnn.named("rnn"))
+        named.update(self.rnn.named())
         named.update(self.head.named())
         if self.constant_interval is not None:
             named["const_interval"] = self.constant_interval

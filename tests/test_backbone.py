@@ -2,15 +2,21 @@ import numpy as np
 import pytest
 
 from catnet import autodiff as ad
-from catnet.backbone import RecurrentParams, run_sequence, step_mask
+from catnet.backbone import GATES, RecurrentParams, run_sequence, step_mask
 from gradcheck import central_difference, max_relative_error
 
 
 def zero_params(kind, input_dim=3, hidden_dim=3):
     params = RecurrentParams.init(kind, input_dim, hidden_dim, np.random.default_rng(0))
-    for t in params.weights.values():
+    for t in params.named().values():
         t.data[...] = 0.0
     return params
+
+
+def gate_slices(params):
+    """Per-gate views ``{"wz": w[0], "uz": u[0], "bz": b[0], ...}`` of the stacked maps."""
+    return {f"{m}{g}": getattr(params, m).data[k]
+            for k, g in enumerate(GATES[params.kind]) for m in "wub"}
 
 
 def sigm(x):
@@ -28,7 +34,7 @@ class TestGRUCell:
 
     def test_zero_weights_halve_previous_state(self):
         params = zero_params("gru")
-        params.weights["wh"].data[...] = np.eye(3)   # step 1 writes tanh(x) / 2 into h
+        gate_slices(params)["wh"][...] = np.eye(3)   # step 1 writes tanh(x) / 2 into h
         states = run([[1.0, -2.0, 0.4], [0.0, 0.0, 0.0]], params).data[0]
         h_prev = states[0]
         assert np.all(h_prev != 0.0)
@@ -42,11 +48,11 @@ class TestGRUCell:
     def test_matches_hand_evaluation(self):
         rng = np.random.default_rng(5)
         params = RecurrentParams.init("gru", 3, 3, rng)
-        for t in params.weights.values():
-            t.data[...] = rng.uniform(-0.5, 0.5, t.data.shape)
+        for t in gate_slices(params).values():
+            t[...] = rng.uniform(-0.5, 0.5, t.shape)
         xs = rng.uniform(-1, 1, (2, 3))
 
-        w = {k: t.data for k, t in params.weights.items()}
+        w = gate_slices(params)
         hp = np.zeros(3)
         for x in xs:
             z = sigm(w["wz"] @ x + w["uz"] @ hp + w["bz"])
@@ -75,7 +81,7 @@ class TestLSTMCell:
 
     def test_zero_weights_halve_cell_state(self):
         params = zero_params("lstm")
-        params.weights["wg"].data[...] = np.eye(3)   # step 1 writes c = tanh(x) / 2
+        gate_slices(params)["wg"][...] = np.eye(3)   # step 1 writes c = tanh(x) / 2
         x = np.array([0.8, -0.5, 2.0])
         v = 0.5 * np.tanh(x)
         h = run([x, np.zeros(3)], params).data[0, 1]
@@ -84,11 +90,11 @@ class TestLSTMCell:
     def test_matches_hand_evaluation(self):
         rng = np.random.default_rng(6)
         params = RecurrentParams.init("lstm", 3, 3, rng)
-        for t in params.weights.values():
-            t.data[...] = rng.uniform(-0.5, 0.5, t.data.shape)
+        for t in gate_slices(params).values():
+            t[...] = rng.uniform(-0.5, 0.5, t.shape)
         xs = rng.uniform(-1, 1, (2, 3))
 
-        w = {k: t.data for k, t in params.weights.items()}
+        w = gate_slices(params)
         hp, cp = np.zeros(3), np.zeros(3)
         for x in xs:
             i = sigm(w["wi"] @ x + w["ui"] @ hp + w["bi"])
@@ -151,14 +157,14 @@ class TestRunSequence:
         coeff = ad.tensor(rng.uniform(-1, 1, 4))
 
         def last_state_loss_and_grads(rows, lengths, b):
-            for t in params.weights.values():
+            for t in params.named().values():
                 t.grad = None
             with ad.Tape():
                 out = run(rows, params, lengths=lengths)
                 state = ad.take_row(ad.take_row(out, b), lengths[b] - 1)
                 loss = ad.sum_over(ad.mul(state, coeff))
                 ad.backward(loss)
-            return loss.item(), {k: t.grad.copy() for k, t in params.weights.items()}
+            return loss.item(), {k: t.grad.copy() for k, t in params.named().items()}
 
         # each sequence's last state, alone and in the ragged batch
         for b, seq in enumerate(seqs):
@@ -173,7 +179,7 @@ class TestRunSequence:
         params = RecurrentParams.init(kind, 2, 3, rng)
         rows = ad.parameter(rng.uniform(-1, 1, (sum(lengths), 2)))
         coeff = ad.tensor(rng.uniform(-1, 1, (len(lengths), max(lengths), 3)))  # padding too
-        tensors = list(params.weights.values()) + [rows]
+        tensors = list(params.named().values()) + [rows]
 
         def forward():
             return ad.sum_over(ad.mul(run_sequence(rows, lengths, params), coeff))
@@ -198,9 +204,10 @@ class TestRunSequence:
     def test_overflowing_pre_activation_rejected(self, kind):
         params = zero_params(kind)
         first, last = ("z", "h") if kind == "gru" else ("i", "g")
-        params.weights[f"w{last}"].data[...] = np.eye(3)      # step 1 writes a nonzero state
-        params.weights[f"b{first}"].data[...] = 1.5e308
-        params.weights[f"u{first}"].data[...] = 1e308         # step 2 overflows on that state
+        w = gate_slices(params)
+        w[f"w{last}"][...] = np.eye(3)      # step 1 writes a nonzero state
+        w[f"b{first}"][...] = 1.5e308
+        w[f"u{first}"][...] = 1e308         # step 2 overflows on that state
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(FloatingPointError,
                               match=f"{kind} recurrence produced non-finite values from inputs"):
@@ -211,3 +218,26 @@ class TestRunSequence:
         with pytest.raises(ValueError, match="do not split"):
             run(np.zeros((4, 3)), params, lengths=[2, 3])
         np.testing.assert_array_equal(step_mask([1, 3]), [[True, False, False], [True, True, True]])
+
+    @pytest.mark.parametrize("kind", ["gru", "lstm"])
+    def test_records_one_tape_node(self, kind):
+        params = RecurrentParams.init(kind, 3, 4, np.random.default_rng(14))
+        rows = ad.parameter(np.concatenate(self.make_inputs([3, 1, 2], seed=15)))
+        with ad.Tape() as tape:
+            states = run_sequence(rows, [3, 1, 2], params)
+            assert [out for out, _ in tape._nodes] == [states]
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+def test_init_equals_per_gate_draws_in_gate_order(kind):
+    params = RecurrentParams.init(kind, 3, 4, np.random.default_rng(16))
+    rng = np.random.default_rng(16)
+    bound_w, bound_u = np.sqrt(6.0 / (3 + 4)), np.sqrt(6.0 / (2 * 4))
+    slices = gate_slices(params)
+    for g in GATES[kind]:   # input map then state map, gate after gate
+        np.testing.assert_array_equal(slices[f"w{g}"], rng.uniform(-bound_w, bound_w, (4, 3)))
+        np.testing.assert_array_equal(slices[f"u{g}"], rng.uniform(-bound_u, bound_u, (4, 4)))
+        np.testing.assert_array_equal(slices[f"b{g}"], 0.0)
+    assert {name: t.shape for name, t in params.named().items()} == {
+        "rnn_w": (len(GATES[kind]), 4, 3), "rnn_u": (len(GATES[kind]), 4, 4),
+        "rnn_b": (len(GATES[kind]), 4)}

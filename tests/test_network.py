@@ -100,6 +100,14 @@ def test_modes_identical_when_auxiliary_vocabs_empty():
     assert np.max(np.abs(pa - pu)) <= 1e-12
 
 
+def test_code_task_without_codes_rejected():
+    vocab = VocabSpec(med=0, diag=3, lab=1, proc=1)
+    with pytest.raises(ValueError, match="task 'med' has no codes in the vocabulary"):
+        TaskSpec("med").target_dim(vocab)
+    with pytest.raises(ValueError, match="task 'med' has no codes in the vocabulary"):
+        CatnetModel(tiny_config(), vocab, np.random.default_rng(0))
+
+
 def test_forward_deterministic_given_seed():
     a, instances = build(tiny_config(), seed=11)
     b, _ = build(tiny_config(), seed=11)
@@ -270,6 +278,18 @@ class TestAblationVariants:
     def test_dropping_primary_type_rejected(self):
         with pytest.raises(ValueError, match="own event type"):
             ModelConfig(task="diag", drops=("diag",))
+
+    @pytest.mark.parametrize("drops", [("aux",), ("med", "diag", "lab", "proc")])
+    def test_drops_that_hide_every_event_type_rejected(self, drops):
+        with pytest.raises(ValueError, match=re.escape(
+                f"drops {drops} leave task 'mortality' no visible event type")):
+            tiny_config(task="mortality", mode="task-unaware", drops=drops)
+
+    @pytest.mark.parametrize("drops", ["cross", None, {"cross"}])
+    def test_drops_not_given_as_a_tuple_or_list_rejected(self, drops):
+        with pytest.raises(ValueError, match=re.escape(
+                f"ablation drops must be a tuple or list of names, got {drops!r}")):
+            tiny_config(drops=drops)
 
     def test_without_cross_attention_uses_raw_embeddings(self):
         base, instances = build(tiny_config(), seed=6)
