@@ -90,15 +90,10 @@ def global_time_gate(states: ad.Tensor, delta_global, lengths, kernel: TimeKerne
         raise ValueError("global decay times must start at 0")
     if np.any(np.delete(np.diff(deltas), first[1:] - 1) < 0):   # a new patient may restart lower
         raise ValueError("global decay times must be non-decreasing")
-    source = np.where(mask, np.cumsum(mask).reshape(mask.shape), 0)   # padding reads a zero row
+    source = np.where(mask, np.cumsum(mask).reshape(mask.shape) - 1, -1)   # padding reads zeros
     gates = ad.sigmoid(time_embed(deltas, kernel))
-    grid = ad.take_row(ad.concat([ad.tensor(np.zeros((1, states.shape[-1]))), gates], axis=0), source)
+    grid = ad.take_row(gates, source)
     return ad.sum_over(ad.mul(grid, states), axis=1), np.split(gates.data, first[1:])
-
-
-def encode_demographics(demo, params: HeadParams) -> ad.Tensor:
-    """Linear map of the raw demographic features (no activation), per row of ``demo``."""
-    return ad.linear(ad.tensor(demo), params.demo_w, params.demo_b)
 
 
 def fuse_and_predict(fused: ad.Tensor, demo, params: HeadParams) -> ad.Tensor:
@@ -107,5 +102,5 @@ def fuse_and_predict(fused: ad.Tensor, demo, params: HeadParams) -> ad.Tensor:
     ``fused`` is ``(..., H)``: the visit route's sum over visits, plus the
     global gate's sum when that route runs.  ``demo`` is ``(..., 3)``.
     """
-    features = ad.concat([fused, encode_demographics(demo, params)])
+    features = ad.concat([fused, ad.linear(ad.tensor(demo), params.demo_w, params.demo_b)])
     return ad.sigmoid(ad.linear(features, params.out_w, params.out_b))

@@ -92,18 +92,18 @@ def build_token_set(visits, embeddings: CodeEmbeddings, interval_tokens: ad.Tens
     lengths = np.fromiter(map(len, lists), np.intp, len(lists))
     n_visits = len(visits)
     # the flat list: each visit's codes type by type in list order, one interval token per
-    # visit (code 0), then a padding sentinel (visit V, type -1, code 0, row 0)
+    # visit (code 0), then a padding sentinel (visit V, type -1, code 0, row -1: zeros)
     code_types = np.repeat(np.tile(active, n_visits), lengths)
     codes = np.fromiter((c for lst in lists for c in lst), np.intp, len(code_types))
     visit = np.r_[np.repeat(np.arange(n_visits), len(active)).repeat(lengths), :n_visits + 1]
     type_ids = np.r_[code_types, [_TIME_ID] * n_visits, -1]
-    # token rows in the stacked table [zero row; med; diag; lab; proc; interval tokens]
+    # token rows in the stacked table [med; diag; lab; proc; interval tokens]
     tables = [embeddings.tables[etype] for etype in EVENT_TYPES]
-    bases = np.cumsum([1] + [t.shape[0] for t in tables])
-    rows = np.r_[bases[code_types] + codes, bases[_TIME_ID] + np.arange(n_visits), 0]
+    bases = np.cumsum([0] + [t.shape[0] for t in tables])
+    rows = np.r_[bases[code_types] + codes, bases[_TIME_ID] + np.arange(n_visits), -1]
     codes = np.r_[codes, np.zeros(n_visits + 1, dtype=np.intp)]
     embed_dim = tables[0].shape[1]
-    table = ad.concat([ad.tensor(np.zeros((1, embed_dim))), *tables, interval_tokens], axis=0)
+    table = ad.concat([*tables, interval_tokens], axis=0)
     # within a type, tokens in the order of their bytes, which no code label can change
     rank = np.unique(table.data.view((np.void, table.data.itemsize * embed_dim))[:, 0],
                      return_inverse=True)[1]
@@ -173,10 +173,9 @@ def _place_in_slots(values: ad.Tensor, slots: np.ndarray, n_slots: int) -> ad.Te
     """(V, n_slots * E) visit vectors: token rows of ``values`` at their slots, zeros elsewhere."""
     n_visits, width, embed_dim = values.shape
     v, k = np.nonzero(slots >= 0)
-    source = np.zeros((n_visits, n_slots), dtype=np.intp)   # row 0 of ``flat`` is zero
-    source[v, slots[v, k]] = 1 + v * width + k
-    flat = ad.concat([ad.tensor(np.zeros((1, embed_dim))),
-                      ad.reshape(values, (n_visits * width, embed_dim))], axis=0)
+    source = np.full((n_visits, n_slots), -1)   # -1: take_row's zero row
+    source[v, slots[v, k]] = v * width + k
+    flat = ad.reshape(values, (n_visits * width, embed_dim))
     return ad.reshape(ad.take_row(flat, source), (n_visits, n_slots * embed_dim))
 
 

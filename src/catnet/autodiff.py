@@ -16,14 +16,16 @@ its gradient through :func:`accumulate`.  The primitives, each with its own
 backward, are ``add``, ``mul``, ``tanh``, ``sigmoid`` (values by
 :func:`logistic`), ``linear``, ``einsum``, ``concat``, ``reshape``,
 ``sum_over``, ``take_row``, ``stable_softmax``, ``weighted_row_sum`` and
-``binary_cross_entropy``.  The other ops are built from them and have no
-gradient rule of their own: ``scale``, ``affine`` and ``sub`` from ``mul`` and
-``add`` with constants, ``matmul`` from ``einsum``, ``stack`` from ``reshape``
-and ``concat``, ``mean`` from ``sum_over`` and ``scale``.  An op written
-elsewhere (the whole recurrent cell in :mod:`catnet.backbone`) uses the same
-helpers.  Nothing in the package calls ``sub``, ``matmul``, ``stack`` or
-``mean``; they stay only because the benchmark's op list (``OPS`` in
-``bench/spans.py``) counts them by name, and they go together with that list.
+``binary_cross_entropy``.  ``linear`` adds its bias itself; ``take_row``
+reads index -1 as a row of zeros (padding) that gets no gradient.  The other
+ops are built from them and have no gradient rule of their own: ``scale``,
+``affine`` and ``sub`` from ``mul`` and ``add`` with constants, ``matmul`` from
+``einsum``, ``stack`` from ``reshape`` and ``concat``, ``mean`` from
+``sum_over`` and ``scale``.  An op written elsewhere (the whole recurrent cell
+in :mod:`catnet.backbone`) uses the same helpers.  Nothing in the package calls
+``sub``, ``matmul``, ``stack`` or ``mean``; they stay only because the
+benchmark's op list (``OPS`` in ``bench/spans.py``) counts them by name, and
+they go together with that list.
 
 Row-wise products run on BLAS through :func:`row_product`, which multiplies
 blocks of exactly ``ROW_BLOCK`` zero-padded rows, so a row's bits depend
@@ -353,19 +355,20 @@ def outer_sum(g, x):
     return row_product(g[keep].T, x[keep])
 
 
-def linear(x, w, b=None):
-    """``x @ w.T (+ b)`` over any leading axes of ``x``; ``w`` is (out, in)."""
-    if w.data.ndim != 2 or x.data.shape[-1:] != w.data.shape[1:]:
-        raise ValueError(f"linear: shape mismatch {x.data.shape} vs {w.data.shape}")
+def linear(x, w, b):
+    """``x @ w.T + b`` over any leading axes of ``x``; ``w`` is (out, in), ``b`` (out,)."""
+    if w.data.ndim != 2 or x.shape[-1:] != w.shape[1:] or b.shape != w.shape[:1]:
+        raise ValueError(f"linear: shape mismatch {x.shape} vs {w.shape}, bias {b.shape}")
 
     def bwd(g):
+        if b.requires_grad:
+            accumulate(b, _unbroadcast(g, b.data.shape))
         if x.requires_grad:
             accumulate(x, row_product(g, w.data))
         if w.requires_grad:
             accumulate(w, outer_sum(g.reshape(-1, g.shape[-1]), x.data.reshape(-1, x.shape[-1])))
 
-    y = record("linear", row_product(x.data, w.data.T), (x, w), bwd)
-    return y if b is None else add(y, b)
+    return record("linear", row_product(x.data, w.data.T) + b.data, (x, w, b), bwd)
 
 
 def concat(parts, axis=-1):
@@ -431,22 +434,27 @@ def mean(t):
 def take_row(table, index):
     """Rows of ``table`` along its first axis, by an int or an int array.
 
-    The result has shape ``index.shape + table.shape[1:]``.  Backward sums
-    the uses of each row from zero in use order, like a scatter-add into
-    zeros; onto a gradient the table already holds, the uses are summed first.
+    The result has shape ``index.shape + table.shape[1:]``; index -1 reads a
+    row of zeros (padding), which gets no gradient.  Backward sums the uses of
+    each row from zero in use order, like a scatter-add into zeros; onto a
+    gradient the table already holds, the uses are summed first.
     """
     if table.data.ndim < 2:
         raise ValueError(f"take_row: expected a table of rows, got shape {table.data.shape}")
-    index = int(index) if np.ndim(index) == 0 else np.asarray(index, dtype=np.intp)
+    index = np.asarray(index, dtype=np.intp)
+    n = len(table.data)
+    if np.any((index < -1) | (index >= n)):
+        raise IndexError(f"take_row: index outside [-1, {n}) for a table of shape {table.shape}")
+    padded = np.concatenate([table.data, np.zeros((1,) + table.shape[1:])])   # -1 reads row n
 
     def bwd(g):
         if table.requires_grad:
             width = table.data[0].size
-            cells = (np.asarray(index) % len(table.data))[..., None] * width + np.arange(width)
-            accumulate(table, np.bincount(cells.ravel(), weights=g.ravel(),
-                                          minlength=table.data.size).reshape(table.data.shape))
+            cells = (index % (n + 1))[..., None] * width + np.arange(width)
+            sums = np.bincount(cells.ravel(), weights=g.ravel(), minlength=(n + 1) * width)
+            accumulate(table, sums[:n * width].reshape(table.data.shape))
 
-    return record("take_row", np.take(table.data, index, axis=0), (table,), bwd)
+    return record("take_row", np.take(padded, index, axis=0), (table,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,10 @@ class Visit:
     def validate(self, vocab: VocabSpec, owner: str = "?"):
         if not (math.isfinite(self.time_days) and self.time_days >= 0):
             raise ValueError(f"patient {owner}: visit time must be finite and >= 0")
+        if self.codes.keys() - EVENT_TYPES:
+            key = next(k for k in self.codes if k not in EVENT_TYPES)
+            raise ValueError(f"patient {owner}: unknown event type {key!r} in visit codes; "
+                             f"expected one of {EVENT_TYPES}")
         for etype in EVENT_TYPES:
             lst = self.codes.get(etype, [])
             if not len(lst):
@@ -165,15 +169,11 @@ def _as_code(c):
 
 
 def _code_lists(codes, pid) -> dict:
-    """A visit's code lists by event type; else an error naming the patient."""
+    """A visit's code lists, keyed as in the input; else an error naming the patient."""
     if not isinstance(codes, dict):
         raise ValueError(f"patient {pid}: visit codes must be an object, got {codes!r}")
-    for key in codes:
-        if key not in EVENT_TYPES:
-            raise ValueError(f"patient {pid}: unknown event type {key!r} in visit codes; "
-                             f"expected one of {EVENT_TYPES}")
-    return {t: [c if type(c) is int else _as_code(c) for c in codes.get(t, [])]
-            for t in EVENT_TYPES}
+    return {t: [c if type(c) is int else _as_code(c) for c in lst] if t in EVENT_TYPES else lst
+            for t, lst in codes.items()}
 
 
 @dataclass

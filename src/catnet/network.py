@@ -112,6 +112,19 @@ class TaskInstance:
     demo: np.ndarray
     target: np.ndarray
 
+    def __post_init__(self):
+        n = len(self.visits)
+        if n < 1:
+            raise ValueError(f"patient {self.patient_id}: an instance needs at least one visit")
+        self._check_shapes(delta_prev=(n,), delta_global=(n,), demo=(DEMOGRAPHICS_DIM,))
+
+    def _check_shapes(self, **shapes):
+        """Raise an error naming the patient unless each named array has its shape."""
+        for name, shape in shapes.items():
+            if np.shape(getattr(self, name)) != shape:
+                raise ValueError(f"patient {self.patient_id}: {name} of shape "
+                                 f"{np.shape(getattr(self, name))}, expected {shape}")
+
 
 def build_instances(records, task: TaskSpec, vocab: VocabSpec):
     """Turn records into task instances with backward-anchored interval views."""
@@ -216,6 +229,8 @@ class CatnetModel:
     def batch_loss(self, instances, train: bool = False, dropout: float = 0.0,
                    rng: np.random.Generator = None) -> ad.Tensor:
         """Mean per-instance binary cross-entropy over a batch."""
+        for inst in instances:
+            inst._check_shapes(target=(self.n_targets,))
         probs, _ = self.forward_batch(instances, train=train, dropout=dropout, rng=rng)
         return ad.binary_cross_entropy(probs, np.stack([inst.target for inst in instances]))
 
@@ -231,8 +246,11 @@ class CatnetModel:
         missing = set(params) ^ set(state)
         if missing:
             raise ValueError(f"parameter name mismatch: {sorted(missing)}")
+        arrays = {name: np.asarray(state[name], dtype=np.float64) for name in params}
+        for name, t in params.items():   # check every array before writing any
+            if arrays[name].shape != t.data.shape:
+                raise ValueError(f"{name}: shape {arrays[name].shape} != expected {t.data.shape}")
+            if not np.isfinite(arrays[name]).all():
+                raise ValueError(f"{name}: non-finite values")
         for name, t in params.items():
-            arr = np.asarray(state[name], dtype=np.float64)
-            if arr.shape != t.data.shape:
-                raise ValueError(f"{name}: shape {arr.shape} != expected {t.data.shape}")
-            t.data[...] = arr
+            t.data[...] = arrays[name]

@@ -279,7 +279,8 @@ def test_each_op_matches_finite_differences(seed):
                                                 ad.tensor(coeff))),
         "einsum": lambda: ad.sum_over(ad.mul(ad.einsum("ij,kj->ik", a, b),
                                              ad.tensor(coeff[:, :3]))),
-        "linear": lambda: ad.sum_over(ad.mul(ad.linear(a, b), ad.tensor(coeff[:, :3]))),
+        "linear": lambda: ad.sum_over(ad.mul(ad.linear(a, b, ad.tensor(np.zeros(3))),
+                                             ad.tensor(coeff[:, :3]))),
         "linear_batched": lambda: ad.sum_over(ad.mul(
             ad.linear(ad.reshape(ad.concat([a, b], axis=0), (2, 4, 3)), m, v),
             ad.tensor(np.concatenate([coeff, -coeff[::-1], coeff[:2]]).reshape(2, 4, 4)))),
@@ -338,15 +339,33 @@ def test_grad_accumulates_once_per_use():
 
 def test_take_row_gradient_equals_add_at_bitwise():
     rng = np.random.default_rng(8)
-    for index in (np.array([3, 0, 3, 3, 5, 0]), np.array([[1, 4, 1], [4, 4, -1]]), 2):
+    for index in (np.array([3, 0, 3, 3, 5, 0]), np.array([[1, 4, 1], [-1, 4, -1]]), 2, -1):
         table = ad.parameter(rng.uniform(-1, 1, (6, 5)))
         shape = np.shape(index) + (5,)
         g = rng.uniform(-1, 1, shape) * 10.0 ** rng.uniform(-9, 9, shape)
         with ad.Tape():
-            ad.backward(ad.sum_over(ad.mul(ad.take_row(table, index), ad.tensor(g))))
+            rows = ad.take_row(table, index)
+            ad.backward(ad.sum_over(ad.mul(rows, ad.tensor(g))))
+        real = np.asarray(index) >= 0       # -1 reads a row of +0.0 and gets no gradient
+        assert rows.data[~real].tobytes() == bytes(8 * rows.data[~real].size)
+        np.testing.assert_array_equal(rows.data[real], table.data[np.asarray(index)[real]])
         expected = np.zeros((6, 5))
-        np.add.at(expected, index, g)
+        np.add.at(expected, np.asarray(index)[real], g[real])
         np.testing.assert_array_equal(table.grad, expected)
+
+
+@pytest.mark.parametrize("index", [-2, 6, [[0, 5], [6, -1]], [-7]])
+def test_take_row_rejects_index_outside_table(index):
+    table = ad.parameter(np.ones((6, 5)))
+    with pytest.raises(IndexError, match=r"take_row: index outside \[-1, 6\) .*\(6, 5\)"):
+        ad.take_row(table, index)
+
+
+def test_linear_rejects_bias_of_wrong_shape():
+    x, w = ad.tensor(np.ones((2, 3))), ad.parameter(np.ones((4, 3)))
+    for bias in (np.zeros(3), np.zeros((1, 4)), np.zeros(())):
+        with pytest.raises(ValueError, match=r"linear: shape mismatch .*bias \("):
+            ad.linear(x, w, ad.parameter(bias))
 
 
 @pytest.mark.parametrize("width", [16, 64, 208, 592])
@@ -355,17 +374,17 @@ def test_row_product_and_linear_rows_are_row_stable(width):
     block = ad.ROW_BLOCK
     x = rng.uniform(-1, 1, (3 * block + 4, width)) * 10.0 ** rng.uniform(-3, 3, (3 * block + 4, 1))
     for n_out in (1, 3, 64):
-        w = rng.uniform(-1, 1, (n_out, width))
+        w, zero = rng.uniform(-1, 1, (n_out, width)), ad.tensor(np.zeros(n_out))
         alone = np.stack([ad.row_product(x[i], w.T) for i in range(len(x))])
         np.testing.assert_array_equal(alone, np.concatenate(
-            [ad.linear(ad.tensor(x[i:i + 1]), ad.tensor(w)).data for i in range(len(x))]))
+            [ad.linear(ad.tensor(x[i:i + 1]), ad.tensor(w), zero).data for i in range(len(x))]))
         for n in (1, block - 1, block + 1, 3 * block + 1):
             for start in (0, 3, len(x) - n):
                 rows = x[start:start + n]
                 np.testing.assert_array_equal(ad.row_product(rows, w.T), alone[start:start + n])
-                np.testing.assert_array_equal(ad.linear(ad.tensor(rows), ad.tensor(w)).data,
+                np.testing.assert_array_equal(ad.linear(ad.tensor(rows), ad.tensor(w), zero).data,
                                               alone[start:start + n])
-        batched = ad.linear(ad.tensor(x[:3 * block].reshape(3, block, width)), ad.tensor(w))
+        batched = ad.linear(ad.tensor(x[:3 * block].reshape(3, block, width)), ad.tensor(w), zero)
         np.testing.assert_array_equal(batched.data, alone[:3 * block].reshape(3, block, n_out))
 
 
@@ -399,6 +418,7 @@ def test_linear_weight_gradient_ignores_interleaved_zero_gradient_rows(n_out):
                                      np.insert(coeff, at, 0.0, axis=0))):
             w = ad.parameter(np.linspace(-1.0, 1.0, n_out * width).reshape(n_out, width))
             with ad.Tape():
-                ad.backward(ad.sum_over(ad.mul(ad.linear(ad.tensor(rows), w), ad.tensor(g))))
+                y = ad.linear(ad.tensor(rows), w, ad.tensor(np.zeros(n_out)))
+                ad.backward(ad.sum_over(ad.mul(y, ad.tensor(g))))
             grads.append(w.grad)
         np.testing.assert_array_equal(grads[0], grads[1])

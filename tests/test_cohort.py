@@ -214,6 +214,12 @@ class TestValidation:
                                              r"unknown event type 'diagg' in visit codes"):
             load_dataset(str(data))
 
+    def test_unknown_event_type_in_visit_built_in_code_rejected(self, vocab):
+        visit = Visit(1.0, {"medd": [1], "med": [2]})
+        with pytest.raises(ValueError, match=r"^patient p9: unknown event type 'medd' in visit "
+                                             r"codes; expected one of \('med', "):
+            visit.validate(vocab, owner="p9")
+
     def test_duplicate_patient_id_rejected_on_load(self, tmp_path, vocab):
         records = make_cohort(3)
         records[2].patient_id = "p0"

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -106,6 +107,53 @@ def test_code_task_without_codes_rejected():
         TaskSpec("med").target_dim(vocab)
     with pytest.raises(ValueError, match="task 'med' has no codes in the vocabulary"):
         CatnetModel(tiny_config(), vocab, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("mode,backbone,nodes", [
+    ("task-aware", "gru", 43),
+    ("task-unaware", "lstm", 41),
+])
+def test_training_forward_tape_nodes(mode, backbone, nodes):
+    model, instances = build(tiny_config(mode=mode, backbone=backbone), seed=3)
+    with ad.Tape() as tape:
+        model.batch_loss(instances, train=True)
+    ops = [backward_fn.__qualname__.split(".")[0] for _, backward_fn in tape._nodes]
+    assert len(ops) == nodes
+    assert ops.count("concat") == 2
+
+
+@pytest.mark.parametrize("field, change, shown", [
+    ("visits", lambda v: [], "an instance needs at least one visit"),
+    ("delta_prev", lambda d: np.append(d, 4.0), r"delta_prev of shape \(4,\), expected \(3,\)"),
+    ("delta_prev", lambda d: d[:-1], r"delta_prev of shape \(2,\), expected \(3,\)"),
+    ("delta_global", lambda d: d[:-1], r"delta_global of shape \(2,\), expected \(3,\)"),
+    ("delta_global", lambda d: d[:, None], r"delta_global of shape \(3, 1\), expected \(3,\)"),
+    ("demo", lambda d: d[:2], r"demo of shape \(2,\), expected \(3,\)"),
+], ids=["no-visits", "delta-prev-long", "delta-prev-short", "delta-global-short",
+        "delta-global-2d", "demo-short"])
+def test_instance_arrays_checked_against_its_visits(field, change, shown):
+    _, instances = build(tiny_config())
+    patient_c = instances[2]                         # 3 input visits
+    with pytest.raises(ValueError, match=f"^patient c: {shown}"):
+        dataclasses.replace(patient_c, **{field: change(getattr(patient_c, field))})
+
+
+def test_target_of_wrong_width_rejected_by_batch_loss():
+    model, instances = build(tiny_config())
+    short = dataclasses.replace(instances[1], target=instances[1].target[:2])
+    with pytest.raises(ValueError, match=r"^patient b: target of shape \(2,\), expected \(3,\)"):
+        model.batch_loss([instances[0], short])
+
+
+def test_non_finite_state_rejected_by_name():
+    model, instances = build(tiny_config(), seed=2)
+    before = model.predict(instances)
+    state = model.state_arrays()
+    state["emb_diag"] = np.zeros_like(state["emb_diag"])   # would load, but must not
+    state["out_b"] = np.full_like(state["out_b"], np.nan)
+    with pytest.raises(ValueError, match="^out_b: non-finite values$"):
+        model.load_state_arrays(state)
+    np.testing.assert_array_equal(model.predict(instances), before)
 
 
 def test_forward_deterministic_given_seed():
