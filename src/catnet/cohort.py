@@ -1,4 +1,4 @@
-"""Patient records, vocabularies, temporal intervals, and dataset handling.
+"""Patient records, vocabularies, tasks, and dataset handling.
 
 A cohort is a JSONL file (one patient per line) plus a ``vocab.json`` sidecar
 giving the per-event-type code counts.  Records are treated as immutable after
@@ -74,7 +74,9 @@ class Visit:
                              f"expected one of {EVENT_TYPES}")
         for etype in EVENT_TYPES:
             lst = self.codes.get(etype, [])
-            if not len(lst):
+            if type(lst) is not list:
+                raise ValueError(f"patient {owner}: {etype} codes must be a list, got {lst!r}")
+            if not lst:
                 continue
             for c in lst:
                 if type(c) is not int and not _is_code(c):
@@ -169,19 +171,14 @@ def _as_code(c):
 
 
 def _code_lists(codes, pid) -> dict:
-    """A visit's code lists, keyed as in the input; else an error naming the patient."""
+    """A visit's codes keyed as in the input, lists converted; else an error naming the patient.
+
+    Anything but a list is kept as it is, for ``Visit.validate`` to reject.
+    """
     if not isinstance(codes, dict):
         raise ValueError(f"patient {pid}: visit codes must be an object, got {codes!r}")
-    return {t: [c if type(c) is int else _as_code(c) for c in lst] if t in EVENT_TYPES else lst
-            for t, lst in codes.items()}
-
-
-@dataclass
-class IntervalView:
-    """Per-visit gaps: since the previous visit and since the first visit."""
-
-    delta_prev_days: np.ndarray
-    delta_global_days: np.ndarray
+    return {t: [c if type(c) is int else _as_code(c) for c in lst]
+            if t in EVENT_TYPES and type(lst) is list else lst for t, lst in codes.items()}
 
 
 @dataclass
@@ -218,32 +215,6 @@ class TaskSpec:
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-
-def derive_intervals(record: PatientRecord) -> IntervalView:
-    """Backward-looking gaps: delta_prev[0] = 0, delta_global[i] = t_i - t_1."""
-    times = [v.time_days for v in record.visits]
-    if any(map(operator.le, times[1:], times)):
-        raise ValueError(f"patient {record.patient_id}: visit times must be strictly increasing")
-    t = np.array(times, dtype=np.float64)
-    return IntervalView(delta_prev_days=np.concatenate(([0.0], t[1:] - t[:-1])),
-                        delta_global_days=t - t[0])
-
-
-def extract_task_instances(record: PatientRecord, task: TaskSpec, vocab: VocabSpec):
-    """Input visits and the target label vector for one record.
-
-    Code tasks use all but the final visit as input and the final visit's
-    multi-hot of the target type as the label; mortality uses every visit and
-    the record's flag.
-    """
-    if task.is_code_task:
-        if len(record.visits) < 2:
-            raise ValueError(f"patient {record.patient_id}: code tasks need >= 2 visits")
-        target = np.zeros(vocab.size(task.target), dtype=np.float64)
-        target[list(record.visits[-1].codes_for(task.target))] = 1.0
-        return record.visits[:-1], target
-    return record.visits, np.array([1.0 if record.mortality else 0.0])
 
 
 def split_dataset(records, seed: int):

@@ -30,8 +30,10 @@ stands in for every gap; dropped event types are removed from every visit.
 
 from __future__ import annotations
 
+import math
 import numbers
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,8 +41,7 @@ from catnet import autodiff as ad
 from catnet.aggregate import HeadParams, fuse_and_predict, global_time_gate, visit_self_attention
 from catnet.attention import CodeEmbeddings, attend, build_token_set, output_width, raw_slot_layout
 from catnet.backbone import GATES, RecurrentParams, run_sequence
-from catnet.cohort import (DEMOGRAPHICS_DIM, EVENT_TYPES, TaskSpec, VocabSpec, derive_intervals,
-                           extract_task_instances)
+from catnet.cohort import DEMOGRAPHICS_DIM, EVENT_TYPES, TaskSpec, VocabSpec
 from catnet.time_kernel import TimeKernelParams, time_embed
 
 COMPONENT_DROPS = ("cross", "visit", "global")
@@ -103,20 +104,31 @@ class ModelConfig:
 
 @dataclass
 class TaskInstance:
-    """Model-ready view of one patient for one task."""
+    """Model-ready view of one patient for one task; its gaps are derived from its visits."""
 
     patient_id: str
     visits: list
-    delta_prev: np.ndarray
-    delta_global: np.ndarray
     demo: np.ndarray
     target: np.ndarray
+    delta_prev: np.ndarray = field(init=False)    # days since the previous visit, 0 for the first
+    delta_global: np.ndarray = field(init=False)  # days since the first visit
 
     def __post_init__(self):
-        n = len(self.visits)
-        if n < 1:
-            raise ValueError(f"patient {self.patient_id}: an instance needs at least one visit")
-        self._check_shapes(delta_prev=(n,), delta_global=(n,), demo=(DEMOGRAPHICS_DIM,))
+        pid = self.patient_id
+        if not self.visits:
+            raise ValueError(f"patient {pid}: an instance needs at least one visit")
+        times = [v.time_days for v in self.visits]
+        if not all(map(math.isfinite, times)) or any(map(operator.le, times[1:], times)):
+            raise ValueError(f"patient {pid}: visit times must be finite and strictly increasing")
+        t = np.array(times, dtype=np.float64)
+        self.delta_prev = np.concatenate(([0.0], t[1:] - t[:-1]))
+        self.delta_global = t - t[0]
+        self._check_shapes(demo=(DEMOGRAPHICS_DIM,))
+        if not np.isfinite(self.demo).all():
+            raise ValueError(f"patient {pid}: demo must be finite")
+        target = np.asarray(self.target)
+        if np.count_nonzero(target) != np.count_nonzero(target == 1.0):
+            raise ValueError(f"patient {pid}: target entries must be 0 or 1")
 
     def _check_shapes(self, **shapes):
         """Raise an error naming the patient unless each named array has its shape."""
@@ -127,20 +139,17 @@ class TaskInstance:
 
 
 def build_instances(records, task: TaskSpec, vocab: VocabSpec):
-    """Turn records into task instances with backward-anchored interval views."""
+    """One instance per record, with the inputs and target that :class:`TaskSpec` describes."""
     instances = []
     for rec in records:
-        visits, target = extract_task_instances(rec, task, vocab)
-        gaps = derive_intervals(rec)
-        n = len(visits)
-        instances.append(TaskInstance(
-            patient_id=rec.patient_id,
-            visits=list(visits),
-            delta_prev=gaps.delta_prev_days[:n],
-            delta_global=gaps.delta_global_days[:n],
-            demo=rec.demographics_vector(),
-            target=np.asarray(target, dtype=np.float64),
-        ))
+        if task.is_code_task:
+            visits, last = rec.visits[:-1], rec.visits[-1:]   # no visits: TaskInstance rejects
+            target = np.zeros(vocab.size(task.target))
+            target[[c for v in last for c in v.codes_for(task.target)]] = 1.0
+        else:
+            visits, target = rec.visits, np.array([1.0 if rec.mortality else 0.0])
+        instances.append(TaskInstance(rec.patient_id, list(visits), rec.demographics_vector(),
+                                      target))
     return instances
 
 

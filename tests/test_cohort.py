@@ -9,13 +9,12 @@ from catnet.cohort import (
     TaskSpec,
     Visit,
     VocabSpec,
-    derive_intervals,
-    extract_task_instances,
     load_dataset,
     load_vocab,
     save_dataset,
     split_dataset,
 )
+from catnet.network import build_instances
 
 
 def make_record(pid="p0", times=(0.0, 3.0, 10.0), mortality=False):
@@ -220,6 +219,25 @@ class TestValidation:
                                              r"codes; expected one of \('med', "):
             visit.validate(vocab, owner="p9")
 
+    @pytest.mark.parametrize("codes", ["12", 5, None], ids=["string", "int", "null"])
+    def test_code_list_that_is_not_a_list_rejected(self, vocab, codes):
+        visit = Visit(1.0, {"med": codes, "diag": [1]})
+        with pytest.raises(ValueError, match=rf"^patient p9: med codes must be a list, "
+                                             rf"got {re.escape(repr(codes))}$"):
+            visit.validate(vocab, owner="p9")
+
+    @pytest.mark.parametrize("codes, shown", [('"12"', "'12'"), ("5", "5")],
+                             ids=["string", "int"])
+    def test_code_list_that_is_not_a_list_rejected_on_load(self, tmp_path, vocab, codes, shown):
+        data = tmp_path / "cohort.jsonl"
+        save_dataset(make_cohort(3), vocab, str(data))
+        lines = data.read_text().splitlines()
+        lines[1] = re.sub(r'"med":\[[0-9,]*\]', f'"med":{codes}', lines[1], count=1)
+        data.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"cohort\.jsonl:2: malformed record: patient p1: "
+                                             rf"med codes must be a list, got {shown}$"):
+            load_dataset(str(data))
+
     def test_duplicate_patient_id_rejected_on_load(self, tmp_path, vocab):
         records = make_cohort(3)
         records[2].patient_id = "p0"
@@ -272,66 +290,78 @@ class TestSplit:
             split_dataset(list(range(9)), seed=0)
 
 
+def gaps(times, task=TaskSpec("mortality", mode="task-unaware")):
+    """The gaps of the instance built from a record with visits at ``times``."""
+    vocab = VocabSpec(med=4, diag=3, lab=2, proc=1)
+    inst, = build_instances([make_record(times=times)], task, vocab)
+    return inst.delta_prev, inst.delta_global
+
+
 class TestIntervals:
     def test_direct_subtraction(self):
-        iv = derive_intervals(make_record(times=(0.0, 3.0, 10.0)))
-        np.testing.assert_array_equal(iv.delta_prev_days, [0.0, 3.0, 7.0])
-        np.testing.assert_array_equal(iv.delta_global_days, [0.0, 3.0, 10.0])
+        delta_prev, delta_global = gaps((0.0, 3.0, 10.0))
+        np.testing.assert_array_equal(delta_prev, [0.0, 3.0, 7.0])
+        np.testing.assert_array_equal(delta_global, [0.0, 3.0, 10.0])
+        delta_prev, delta_global = gaps((0.0, 3.0, 10.0), TaskSpec("med"))
+        np.testing.assert_array_equal(delta_prev, [0.0, 3.0])
+        np.testing.assert_array_equal(delta_global, [0.0, 3.0])
 
     def test_half_day_interval(self):
-        iv = derive_intervals(make_record(times=(5.0, 5.5)))
-        np.testing.assert_array_equal(iv.delta_prev_days, [0.0, 0.5])
+        np.testing.assert_array_equal(gaps((5.0, 5.5))[0], [0.0, 0.5])
 
     def test_global_gap_is_last_minus_first(self):
         rng = np.random.default_rng(11)
         times = np.cumsum(rng.uniform(0.5, 20, 6)) + 2.0
-        iv = derive_intervals(make_record(times=tuple(times)))
-        assert iv.delta_global_days[-1] == pytest.approx(times[-1] - times[0], abs=1e-12)
+        assert gaps(tuple(times))[1][-1] == pytest.approx(times[-1] - times[0], abs=1e-12)
 
     def test_time_shift_invariance(self):
         times = (2.0, 9.0, 30.0)
         shifted = tuple(t + 1234.5 for t in times)
-        a = derive_intervals(make_record(times=times))
-        b = derive_intervals(make_record(times=shifted))
-        np.testing.assert_allclose(a.delta_prev_days, b.delta_prev_days, atol=1e-9)
-        np.testing.assert_allclose(a.delta_global_days, b.delta_global_days, atol=1e-9)
+        for a, b in zip(gaps(times), gaps(shifted)):
+            np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_same_bits_as_diff_with_prepend(self):
         rng = np.random.default_rng(23)
         for n in (1, 2, 3, 7, 40):
             for scale in (0.01, 1.0, 1e4):
-                times = np.cumsum(rng.uniform(0.05, 30.0, n) * scale) + rng.uniform(0, 1e3)
-                iv = derive_intervals(make_record(times=tuple(times.tolist())))
-                assert iv.delta_prev_days.tobytes() == np.diff(times, prepend=times[0]).tobytes()
-                assert iv.delta_global_days.tobytes() == (times - times[0]).tobytes()
+                times = np.cumsum(rng.uniform(0.05, 30.0, n + 1) * scale) + rng.uniform(0, 1e3)
+                for task, t in ((TaskSpec("mortality", mode="task-unaware"), times),
+                                (TaskSpec("med"), times[:-1])):
+                    delta_prev, delta_global = gaps(tuple(times.tolist()), task)
+                    assert delta_prev.tobytes() == np.diff(t, prepend=t[0]).tobytes()
+                    assert delta_global.tobytes() == (t - t[0]).tobytes()
 
     def test_bad_times_rejected(self):
-        rec = make_record()
-        rec.visits[1].time_days = rec.visits[0].time_days
-        with pytest.raises(ValueError, match="strictly increasing"):
-            derive_intervals(rec)
+        for times in ((0.0, 3.0, 3.0), (0.0, 5.0, 2.0), (0.0, np.nan, 10.0), (np.inf,)):
+            with pytest.raises(ValueError, match="^patient p0: visit times must be finite "
+                                                 "and strictly increasing$"):
+                gaps(times)
 
 
 class TestTaskInstances:
     def test_medication_task_uses_final_visit_label(self, vocab):
         rec = make_record(times=(0.0, 5.0, 9.0))
         rec.visits[-1].codes["med"] = [1, 3]
-        inputs, target = extract_task_instances(rec, TaskSpec("med"), vocab)
-        assert inputs == rec.visits[:2]
-        np.testing.assert_array_equal(target, [0.0, 1.0, 0.0, 1.0])
+        inst, = build_instances([rec], TaskSpec("med"), vocab)
+        assert inst.visits == rec.visits[:2]
+        np.testing.assert_array_equal(inst.target, [0.0, 1.0, 0.0, 1.0])
 
     def test_mortality_uses_all_visits(self, vocab):
         rec = make_record(mortality=True)
         task = TaskSpec("mortality", mode="task-unaware")
-        inputs, target = extract_task_instances(rec, task, vocab)
-        assert inputs == rec.visits
-        np.testing.assert_array_equal(target, [1.0])
+        inst, = build_instances([rec], task, vocab)
+        assert inst.visits == rec.visits
+        np.testing.assert_array_equal(inst.target, [1.0])
 
     def test_target_length_matches_vocab(self):
         vocab = VocabSpec(med=346, diag=1, lab=1, proc=1)
-        rec = make_record()
-        _, target = extract_task_instances(rec, TaskSpec("med"), vocab)
-        assert target.shape == (346,)
+        inst, = build_instances([make_record()], TaskSpec("med"), vocab)
+        assert inst.target.shape == (346,)
+
+    @pytest.mark.parametrize("times", [(4.0,), ()], ids=["one-visit", "no-visits"])
+    def test_code_task_needs_two_visits(self, vocab, times):
+        with pytest.raises(ValueError, match="^patient p0: an instance needs at least one visit$"):
+            build_instances([make_record(times=times)], TaskSpec("med"), vocab)
 
     def test_mortality_forces_task_unaware(self):
         with pytest.raises(ValueError, match="task-unaware"):

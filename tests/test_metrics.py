@@ -197,3 +197,14 @@ class TestInvariances:
 def test_non_finite_scores_rejected_naming_the_metric(name, call, bad):
     with pytest.raises(ValueError, match=f"^{name}: scores must be finite, got {bad}$"):
         call([0.3, bad, 0.2, 0.9])
+
+
+@pytest.mark.parametrize("bad", [0.5, np.nan, 2.0, -1.0])
+@pytest.mark.parametrize("call", [
+    lambda y: auc([[0.3, 0.2, 0.9]], y),
+    lambda y: average_precision([[0.3, 0.2, 0.9]], y),
+    lambda y: topk_recall([[0.3, 0.2, 0.9]], y, 2),
+], ids=["auc", "average_precision", "topk_recall"])
+def test_labels_other_than_0_and_1_rejected(call, bad):
+    with pytest.raises(ValueError, match="^labels must be 0 or 1$"):
+        call([[bad, 1, 0]])

@@ -6,7 +6,7 @@ import pytest
 
 from catnet import autodiff as ad
 from catnet.cohort import PatientRecord, TaskSpec, Visit, VocabSpec
-from catnet.network import CatnetModel, ModelConfig, build_instances, resolve_drops
+from catnet.network import CatnetModel, ModelConfig, TaskInstance, build_instances, resolve_drops
 from gradcheck import central_difference, max_relative_error
 
 
@@ -124,18 +124,29 @@ def test_training_forward_tape_nodes(mode, backbone, nodes):
 
 @pytest.mark.parametrize("field, change, shown", [
     ("visits", lambda v: [], "an instance needs at least one visit"),
-    ("delta_prev", lambda d: np.append(d, 4.0), r"delta_prev of shape \(4,\), expected \(3,\)"),
-    ("delta_prev", lambda d: d[:-1], r"delta_prev of shape \(2,\), expected \(3,\)"),
-    ("delta_global", lambda d: d[:-1], r"delta_global of shape \(2,\), expected \(3,\)"),
-    ("delta_global", lambda d: d[:, None], r"delta_global of shape \(3, 1\), expected \(3,\)"),
     ("demo", lambda d: d[:2], r"demo of shape \(2,\), expected \(3,\)"),
-], ids=["no-visits", "delta-prev-long", "delta-prev-short", "delta-global-short",
-        "delta-global-2d", "demo-short"])
+    ("demo", lambda d: np.where(np.arange(3) == 1, np.nan, d), "demo must be finite"),
+    ("target", lambda t: np.where(np.arange(3) == 0, 0.5, t), "target entries must be 0 or 1"),
+    ("target", lambda t: np.where(np.arange(3) == 2, np.nan, t), "target entries must be 0 or 1"),
+], ids=["no-visits", "demo-short", "demo-nan", "target-half", "target-nan"])
 def test_instance_arrays_checked_against_its_visits(field, change, shown):
     _, instances = build(tiny_config())
     patient_c = instances[2]                         # 3 input visits
     with pytest.raises(ValueError, match=f"^patient c: {shown}"):
         dataclasses.replace(patient_c, **{field: change(getattr(patient_c, field))})
+
+
+def test_instance_gaps_derived_from_its_visits():
+    _, instances = build(tiny_config())
+    patient_c = instances[2]                         # input visits at days 1, 5 and 6.5
+    with pytest.raises(ValueError, match="^patient c: visit times must be finite and strictly "
+                                         "increasing$"):
+        dataclasses.replace(patient_c, visits=patient_c.visits[::-1])
+    shorter = dataclasses.replace(patient_c, visits=patient_c.visits[1:])
+    assert shorter.delta_prev.tolist() == [0.0, 1.5]
+    assert shorter.delta_global.tolist() == [0.0, 1.5]
+    with pytest.raises(TypeError, match="delta_prev"):
+        TaskInstance("c", shorter.visits, shorter.demo, shorter.target, delta_prev=[0.0, 1.0])
 
 
 def test_target_of_wrong_width_rejected_by_batch_loss():
