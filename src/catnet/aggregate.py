@@ -100,7 +100,7 @@ def fuse_and_predict(fused: ad.Tensor, demo, params: HeadParams) -> ad.Tensor:
     """Per-target probabilities from the fused visit routes and demographics.
 
     ``fused`` is ``(..., H)``: the visit route's sum over visits, plus the
-    global gate's sum when that route runs.  ``demo`` is ``(..., 3)``.
+    global gate's sum when that route runs.  ``demo`` is ``(..., DEMOGRAPHICS_DIM)``.
     """
     features = ad.concat([fused, ad.linear(ad.tensor(demo), params.demo_w, params.demo_b)])
     return ad.sigmoid(ad.linear(features, params.out_w, params.out_b))

@@ -1,31 +1,34 @@
 """Cross-event attention inside every visit of a batch, all visits at once.
 
-A batch of V visits becomes a padded ``(V, K, E)`` token array.  Visit v holds
-its present codes grouped by event type (med, diag, lab, proc), within a type
-in the order of their embeddings' bytes, then one interval token carrying the
-embedded gap since the previous visit, then zero padding up to K, the token
-count of the batch's longest visit.  One sort of all the batch's tokens decides
-this order.  Attention runs over present tokens only: a ``(V, K)`` mask hides
-the padding from every softmax, and absent vocabulary codes never enter the
-key set.  So neither a longer visit elsewhere in the batch nor a larger
-vocabulary of unused codes can change a visit's result.
+A batch of V visits becomes a padded ``(V, K, E)`` token array, gathered from
+one table: [codes in flat order; interval tokens], where event type t's code c
+is row ``vocab.offsets()[t] + c``.  Visit v holds its present codes grouped by
+event type (med, diag, lab, proc), within a type in the order of their
+embeddings' bytes, then one interval token carrying the embedded gap since the
+previous visit, then zero padding up to K, the token count of the batch's
+longest visit.  One sort of all the batch's tokens decides this order.
+Attention runs over present tokens only: a ``(V, K)`` mask hides the padding
+from every softmax, and absent vocabulary codes never enter the key set.  So
+neither a longer visit elsewhere in the batch nor a larger vocabulary of
+unused codes can change a visit's result.
 
 Two query regimes exist.  Task-aware attention queries with the tokens of the
 prediction target's own event type plus the interval token; task-unaware
 attention queries with every token.  Keys and values are all present tokens in
 both regimes.  Each query's output is its own embedding plus the
 attention-weighted sum of all key embeddings, written into a fixed per-code
-slot of the visit vector; slots of absent codes stay zero.  Each visit's
-query tokens are gathered, in token order, into a ``(V, Q, E)`` array padded
-to the visit with the most queries, and scored against all K keys in one
-masked ``(V, Q, K)`` softmax; padded query rows are never placed in a slot.
-When every present token queries (always in task-unaware mode) the token
-array itself is the query array.  A query row's logits, weights and output do
-not depend on which other rows are scored, so both regimes give the same bits
-for the same query.  The softmax denominator and the weighted sum add their K
-terms in token order.  Relabelling codes within a type leaves the embeddings
-of each type's tokens, and so their byte order, as they were; it therefore
-permutes slots and weights and changes no bit of any value.
+slot of the visit vector (:func:`slot_bases`); slots of absent codes stay
+zero.  Each visit's query tokens are gathered, in token order, into a
+``(V, Q, E)`` array padded to the visit with the most queries, and scored
+against all K keys in one masked ``(V, Q, K)`` softmax; padded query rows are
+never placed in a slot.  When every present token queries (always in
+task-unaware mode) the token array itself is the query array.  A query row's
+logits, weights and output do not depend on which other rows are scored, so
+both regimes give the same bits for the same query.  The softmax denominator
+and the weighted sum add their K terms in token order.  Relabelling codes
+within a type leaves the embeddings of each type's tokens, and so their byte
+order, as they were; it therefore permutes slots and weights and changes no
+bit of any value.
 """
 
 from __future__ import annotations
@@ -40,22 +43,6 @@ from catnet.cohort import EVENT_TYPES, MODES, VocabSpec
 
 _TOKEN_TYPES = EVENT_TYPES + ("time",)  # token type ids index this; padding is -1
 _TIME_ID = len(EVENT_TYPES)
-
-
-@dataclass
-class CodeEmbeddings:
-    """One learnable embedding table per event type, vocab-size x embed_dim."""
-
-    tables: dict
-
-    @classmethod
-    def init(cls, vocab: VocabSpec, embed_dim: int, rng: np.random.Generator):
-        tables = {etype: ad.parameter(rng.uniform(-0.1, 0.1, (max(vocab.size(etype), 1), embed_dim)))
-                  for etype in EVENT_TYPES}
-        return cls(tables=tables)
-
-    def named(self) -> dict:
-        return {f"emb_{etype}": self.tables[etype] for etype in EVENT_TYPES}
 
 
 @dataclass
@@ -80,12 +67,14 @@ class TokenBatch:
         return [(_TOKEN_TYPES[t], int(c)) for t, c in zip(self.type_ids[v], self.codes[v]) if t >= 0]
 
 
-def build_token_set(visits, embeddings: CodeEmbeddings, interval_tokens: ad.Tensor,
-                    types=EVENT_TYPES) -> TokenBatch:
+def build_token_set(visits, embeddings: ad.Tensor, interval_tokens: ad.Tensor,
+                    vocab: VocabSpec, types=EVENT_TYPES, owners=None) -> TokenBatch:
     """Gather the tokens of every visit; codes of event types not in ``types`` are left out.
 
-    ``interval_tokens`` is ``(V, E)``: row v is visit v's interval token.  One sort of
-    the batch's flat token list by (visit, type, byte rank) decides the token order.
+    ``embeddings`` is ``(vocab.total(), E)``, every code in flat order, and
+    ``interval_tokens`` is ``(V, E)``: row v is visit v's interval token.  A code outside
+    its type's vocabulary is an error naming ``owners[v]``, the patient of visit v.  One
+    sort of the batch's flat token list by (visit, type, byte rank) decides the token order.
     """
     active = np.flatnonzero([etype in types for etype in EVENT_TYPES])
     lists = [visit.codes_for(EVENT_TYPES[tid]) for visit in visits for tid in active]
@@ -96,16 +85,21 @@ def build_token_set(visits, embeddings: CodeEmbeddings, interval_tokens: ad.Tens
     code_types = np.repeat(np.tile(active, n_visits), lengths)
     codes = np.fromiter((c for lst in lists for c in lst), np.intp, len(code_types))
     visit = np.r_[np.repeat(np.arange(n_visits), len(active)).repeat(lengths), :n_visits + 1]
+    offsets = vocab.offsets()
+    sizes = np.diff(offsets)[code_types]
+    outside = np.flatnonzero((codes < 0) | (codes >= sizes))
+    if outside.size:
+        i = outside[0]
+        raise ValueError(f"patient {'?' if owners is None else owners[visit[i]]}: "
+                         f"{EVENT_TYPES[code_types[i]]} code {codes[i]} outside vocab of size "
+                         f"{sizes[i]}")
     type_ids = np.r_[code_types, [_TIME_ID] * n_visits, -1]
-    # token rows in the stacked table [med; diag; lab; proc; interval tokens]
-    tables = [embeddings.tables[etype] for etype in EVENT_TYPES]
-    bases = np.cumsum([0] + [t.shape[0] for t in tables])
-    rows = np.r_[bases[code_types] + codes, bases[_TIME_ID] + np.arange(n_visits), -1]
+    # token rows in the table [codes in flat order; interval tokens]
+    rows = np.r_[offsets[code_types] + codes, offsets[-1] + np.arange(n_visits), -1]
     codes = np.r_[codes, np.zeros(n_visits + 1, dtype=np.intp)]
-    embed_dim = tables[0].shape[1]
-    table = ad.concat([*tables, interval_tokens], axis=0)
+    table = ad.concat([embeddings, interval_tokens], axis=0)
     # within a type, tokens in the order of their bytes, which no code label can change
-    rank = np.unique(table.data.view((np.void, table.data.itemsize * embed_dim))[:, 0],
+    rank = np.unique(table.data.view((np.void, table.data.itemsize * table.shape[1]))[:, 0],
                      return_inverse=True)[1]
     order = np.lexsort((rank[rows], type_ids, visit))      # the sentinel sorts last
     counts = np.bincount(visit)[:-1]
@@ -149,24 +143,21 @@ class BatchAttention:
         return out
 
 
-def _slot_bases(mode: str, primary: str, vocab: VocabSpec):
-    """Per token type id, the slot of its code 0 (-1: no slot); and the slot count."""
-    if mode == "task-aware":
-        bases = [0 if etype == primary else -1 for etype in EVENT_TYPES] + [vocab.size(primary)]
-    else:
-        bases = np.cumsum([0] + [vocab.size(etype) for etype in EVENT_TYPES]).tolist()
-    return np.array(bases), bases[-1] + 1
+def slot_bases(mode: str, primary: str, vocab: VocabSpec) -> np.ndarray:
+    """Per token type id, the slot of its code 0 (-1: none); the interval token's slot is last."""
+    if mode not in MODES:
+        raise ValueError(f"unknown attention mode {mode!r}; expected one of {MODES}")
+    if mode == "task-unaware":
+        return vocab.offsets()
+    if primary not in EVENT_TYPES:
+        raise ValueError("task-aware attention requires a primary event type")
+    return np.r_[[0 if etype == primary else -1 for etype in EVENT_TYPES], vocab.size(primary)]
 
 
-def _token_slots(tokens: TokenBatch, mode: str, primary: str, vocab: VocabSpec):
-    """(V, K) slot of every token (-1: padding or no slot), and the slot count."""
-    bases, n_slots = _slot_bases(mode, primary, vocab)
+def _token_slots(tokens: TokenBatch, bases: np.ndarray) -> np.ndarray:
+    """(V, K) slot of every token (-1: padding or no slot)."""
     base = bases[tokens.type_ids]
-    return np.where((tokens.type_ids >= 0) & (base >= 0), base + tokens.codes, -1), n_slots
-
-
-def output_width(mode: str, primary: str, vocab: VocabSpec, embed_dim: int) -> int:
-    return _slot_bases(mode, primary, vocab)[1] * embed_dim
+    return np.where((tokens.type_ids >= 0) & (base >= 0), base + tokens.codes, -1)
 
 
 def _place_in_slots(values: ad.Tensor, slots: np.ndarray, n_slots: int) -> ad.Tensor:
@@ -179,19 +170,14 @@ def _place_in_slots(values: ad.Tensor, slots: np.ndarray, n_slots: int) -> ad.Te
     return ad.reshape(ad.take_row(flat, source), (n_visits, n_slots * embed_dim))
 
 
-def attend(tokens: TokenBatch, mode: str, primary: str = None, *, vocab: VocabSpec):
+def attend(tokens: TokenBatch, bases: np.ndarray):
     """Visit vectors and attention weights for a batch of visits.
 
-    Returns ``(vectors, attention)``: ``vectors`` is ``(V, output_width(...))``,
-    the concatenation of per-slot outputs of each visit, and ``attention`` a
-    :class:`BatchAttention`.
+    ``bases`` is the slot layout from :func:`slot_bases`.  Returns ``(vectors,
+    attention)``: ``vectors`` is ``(V, (bases[-1] + 1) * E)``, the concatenation of
+    per-slot outputs of each visit, and ``attention`` a :class:`BatchAttention`.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown attention mode {mode!r}; expected one of {MODES}")
-    if mode == "task-aware" and primary not in EVENT_TYPES:
-        raise ValueError("task-aware attention requires a primary event type")
-
-    slots, n_slots = _token_slots(tokens, mode, primary, vocab)
+    slots = _token_slots(tokens, bases)
     is_query = slots >= 0
     # each visit's query positions first, in token order; the rest pad to the longest
     order = np.argsort(~is_query, axis=1, kind="stable")[:, :is_query.sum(axis=1).max()]
@@ -206,16 +192,15 @@ def attend(tokens: TokenBatch, mode: str, primary: str = None, *, vocab: VocabSp
     logits = ad.scale(ad.einsum("vqe,vke->vqk", q, x), 1.0 / math.sqrt(x.shape[-1]))
     weights = ad.stable_softmax(logits, tokens.type_ids[:, None, :] >= 0)
     out = ad.add(q, ad.weighted_row_sum(weights, x))
-    return (_place_in_slots(out, np.take_along_axis(slots, order, axis=1), n_slots),
+    return (_place_in_slots(out, np.take_along_axis(slots, order, axis=1), bases[-1] + 1),
             BatchAttention(tokens=tokens, query_weights=weights.data, queries=queries))
 
 
-def raw_slot_layout(tokens: TokenBatch, mode: str, primary: str, vocab: VocabSpec) -> ad.Tensor:
+def raw_slot_layout(tokens: TokenBatch, bases: np.ndarray) -> ad.Tensor:
     """Visit vectors with raw embeddings in their slots and no attention.
 
     This is the drop-in replacement used when cross-event attention is
     ablated; layout and width match :func:`attend` exactly.
     """
-    slots, n_slots = _token_slots(tokens, mode, primary, vocab)
-    return _place_in_slots(tokens.values, slots, n_slots)
+    return _place_in_slots(tokens.values, _token_slots(tokens, bases), bases[-1] + 1)
 

@@ -46,6 +46,10 @@ class VocabSpec:
     def total(self) -> int:
         return sum(self.size(t) for t in EVENT_TYPES)
 
+    def offsets(self) -> np.ndarray:
+        """First flat code index of each event type, in ``EVENT_TYPES`` order, then the total."""
+        return np.cumsum([0] + [self.size(t) for t in EVENT_TYPES])
+
     def to_dict(self) -> dict:
         return {t: self.size(t) for t in EVENT_TYPES}
 
@@ -66,6 +70,7 @@ class Visit:
     codes: dict
 
     def validate(self, vocab: VocabSpec, owner: str = "?"):
+        _as_number(self.time_days, owner, "time_days")
         if not (math.isfinite(self.time_days) and self.time_days >= 0):
             raise ValueError(f"patient {owner}: visit time must be finite and >= 0")
         if self.codes.keys() - EVENT_TYPES:

@@ -208,7 +208,7 @@ def generate(config: GenConfig, seed: int):
     seed = int(seed)
     vocab = config.vocab()
     base_logits = np.array([_logit(p) for etype in EVENT_TYPES for p in config.prevalence(etype)])
-    offsets = np.cumsum([0] + [vocab.size(etype) for etype in EVENT_TYPES])
+    offsets = vocab.offsets()
     local_codes = np.arange(offsets[-1]) - np.repeat(offsets[:-1], np.diff(offsets))
     start = dict(zip(EVENT_TYPES, offsets.tolist()))
     rules = [(rule, start[rule.trigger_type] + rule.trigger_code,

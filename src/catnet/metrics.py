@@ -5,7 +5,7 @@ pooled before computing AUC or average precision.  Ties are handled
 explicitly: AUC counts a tied positive/negative pair as half a win, while
 average precision and top-k recall order tied scores by ascending index so
 results are deterministic.  Every metric rejects scores that are NaN or
-infinite, naming itself in the error, and labels other than 0 and 1.
+infinite and labels other than 0 and 1, naming itself in the error.
 """
 
 from __future__ import annotations
@@ -22,16 +22,16 @@ def _finite(scores, metric: str) -> np.ndarray:
     return s
 
 
-def _binary(labels) -> np.ndarray:
+def _binary(labels, metric: str) -> np.ndarray:
     y = np.asarray(labels, dtype=np.float64)
     if not np.all((y == 0.0) | (y == 1.0)):
-        raise ValueError("labels must be 0 or 1")
+        raise ValueError(f"{metric}: labels must be 0 or 1")
     return y
 
 
 def _flat(scores, labels, metric: str):
     s = _finite(scores, metric).reshape(-1)
-    y = _binary(labels).reshape(-1)
+    y = _binary(labels, metric).reshape(-1)
     if s.shape != y.shape:
         raise ValueError(f"scores shape {s.shape} != labels shape {y.shape}")
     return s, y
@@ -81,7 +81,7 @@ def topk_recall(score_rows, label_rows, k: int):
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     score_rows = _finite(score_rows, "topk_recall")
-    label_rows = _binary(label_rows)
+    label_rows = _binary(label_rows, "topk_recall")
     if score_rows.shape != label_rows.shape or score_rows.ndim != 2:
         raise ValueError(f"need matching 2-D scores/labels, got "
                          f"{score_rows.shape} and {label_rows.shape}")

@@ -39,7 +39,7 @@ import numpy as np
 
 from catnet import autodiff as ad
 from catnet.aggregate import HeadParams, fuse_and_predict, global_time_gate, visit_self_attention
-from catnet.attention import CodeEmbeddings, attend, build_token_set, output_width, raw_slot_layout
+from catnet.attention import attend, build_token_set, raw_slot_layout, slot_bases
 from catnet.backbone import GATES, RecurrentParams, run_sequence
 from catnet.cohort import DEMOGRAPHICS_DIM, EVENT_TYPES, TaskSpec, VocabSpec
 from catnet.time_kernel import TimeKernelParams, time_embed
@@ -118,7 +118,12 @@ class TaskInstance:
         if not self.visits:
             raise ValueError(f"patient {pid}: an instance needs at least one visit")
         times = [v.time_days for v in self.visits]
-        if not all(map(math.isfinite, times)) or any(map(operator.le, times[1:], times)):
+        try:
+            finite = all(map(math.isfinite, times))
+        except TypeError:
+            bad = next(t for t in times if not isinstance(t, numbers.Real))
+            raise ValueError(f"patient {pid}: time_days must be a number, got {bad!r}") from None
+        if not finite or any(map(operator.le, times[1:], times)):
             raise ValueError(f"patient {pid}: visit times must be finite and strictly increasing")
         t = np.array(times, dtype=np.float64)
         self.delta_prev = np.concatenate(([0.0], t[1:] - t[:-1]))
@@ -160,8 +165,9 @@ class CatnetModel:
         self.config = config
         self.vocab = vocab
         self.n_targets = config.task_spec.target_dim(vocab)
-        self.input_width = output_width(config.mode, config.task, vocab, config.embed_dim)
-        self.embeddings = CodeEmbeddings.init(vocab, config.embed_dim, rng)
+        self.slot_bases = slot_bases(config.mode, config.task, vocab)
+        self.input_width = int(self.slot_bases[-1] + 1) * config.embed_dim
+        self.emb = ad.parameter(rng.uniform(-0.1, 0.1, (vocab.total(), config.embed_dim)))
         self.interval_kernel = TimeKernelParams.init(config.kernel_dim, config.embed_dim, rng)
         self.decay_kernel = TimeKernelParams.init(config.hidden_dim, config.hidden_dim, rng)
         self.rnn = RecurrentParams.init(config.backbone, self.input_width,
@@ -173,8 +179,7 @@ class CatnetModel:
             if "time" in config.drops else None)
 
     def parameters(self) -> dict:
-        named = {}
-        named.update(self.embeddings.named())
+        named = {"emb": self.emb}
         named.update(self.interval_kernel.named("dt"))
         named.update(self.decay_kernel.named("gt"))
         named.update(self.rnn.named())
@@ -211,11 +216,12 @@ class CatnetModel:
             intervals = ad.add(ad.tensor(np.zeros((len(visits), cfg.embed_dim))),
                                self.constant_interval)
         visible = tuple(t for t in EVENT_TYPES if t not in cfg.dropped_types())
-        tokens = build_token_set(visits, self.embeddings, intervals, visible)
+        owners = np.repeat([inst.patient_id for inst in instances], lengths)
+        tokens = build_token_set(visits, self.emb, intervals, self.vocab, visible, owners)
         if "cross" in cfg.drops:
-            x, attention = raw_slot_layout(tokens, cfg.mode, cfg.task, self.vocab), None
+            x, attention = raw_slot_layout(tokens, self.slot_bases), None
         else:
-            x, attention = attend(tokens, cfg.mode, primary=cfg.task, vocab=self.vocab)
+            x, attention = attend(tokens, self.slot_bases)
         if drop_visits:
             keep = 1.0 - dropout
             x = ad.mul(x, ad.tensor((rng.random(x.shape) < keep) / keep))

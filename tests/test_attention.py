@@ -1,32 +1,43 @@
 import math
 
 import numpy as np
+import pytest
 
 from catnet import autodiff as ad
 from catnet.attention import (
-    CodeEmbeddings,
     attend as attend_batch,
     build_token_set as build_token_batch,
-    output_width,
     raw_slot_layout as raw_slot_batch,
+    slot_bases,
 )
 from catnet.cohort import EVENT_TYPES, Visit, VocabSpec
 from catnet.time_kernel import TimeKernelParams, time_embed
 
 
-def build_token_set(visit, embeddings, interval):
+def init_table(vocab, embed_dim, rng):
+    """The (vocab.total(), E) embedding table of every code in flat order."""
+    return ad.parameter(rng.uniform(-0.1, 0.1, (vocab.total(), embed_dim)))
+
+
+def block(embeddings, vocab, etype):
+    """The rows of one event type's codes: a view into the table."""
+    offsets, t = vocab.offsets(), EVENT_TYPES.index(etype)
+    return embeddings.data[offsets[t]:offsets[t + 1]]
+
+
+def build_token_set(visit, embeddings, interval, vocab):
     """Tokens of a one-visit batch; ``interval`` is the visit's (E,) interval token."""
-    return build_token_batch([visit], embeddings, ad.reshape(interval, (1, -1)))
+    return build_token_batch([visit], embeddings, ad.reshape(interval, (1, -1)), vocab)
 
 
 def attend(tokens, mode, primary=None, vocab=None):
     """The one visit's vector (a 1-D tensor) and its attention record."""
-    vectors, attention = attend_batch(tokens, mode, primary=primary, vocab=vocab)
+    vectors, attention = attend_batch(tokens, slot_bases(mode, primary, vocab))
     return ad.take_row(vectors, 0), attention.records()[0]
 
 
 def raw_slot_layout(tokens, mode, primary, vocab):
-    return ad.take_row(raw_slot_batch(tokens, mode, primary, vocab), 0)
+    return ad.take_row(raw_slot_batch(tokens, slot_bases(mode, primary, vocab)), 0)
 
 
 def interval_of(tokens):
@@ -51,28 +62,28 @@ def brute_force(embs, query_ids):
 
 def make_case(vocab, codes, embed_dim=4, seed=0, interval=None):
     rng = np.random.default_rng(seed)
-    embeddings = CodeEmbeddings.init(vocab, embed_dim, rng)
+    embeddings = init_table(vocab, embed_dim, rng)
     visit = Visit(time_days=0.0, codes=codes)
     if interval is None:
         interval = ad.tensor(rng.uniform(-0.1, 0.1, embed_dim))
-    return embeddings, build_token_set(visit, embeddings, interval)
+    return embeddings, build_token_set(visit, embeddings, interval, vocab)
 
 
-def reference_tokens(visit, embeddings, interval, types):
+def reference_tokens(visit, embeddings, vocab, interval, types):
     """(type id, code, row) of one visit's tokens: codes by (type, embedding bytes, list
     position), then the interval token with code 0."""
-    keyed = sorted((tid, embeddings.tables[etype].data[c].tobytes(), pos, c)
+    keyed = sorted((tid, block(embeddings, vocab, etype)[c].tobytes(), pos, c)
                    for tid, etype in enumerate(EVENT_TYPES) if etype in types
                    for pos, c in enumerate(visit.codes_for(etype)))
-    return ([(tid, c, embeddings.tables[EVENT_TYPES[tid]].data[c]) for tid, _, _, c in keyed]
+    return ([(tid, c, block(embeddings, vocab, EVENT_TYPES[tid])[c]) for tid, _, _, c in keyed]
             + [(len(EVENT_TYPES), 0, interval)])
 
 
 def test_token_layout_matches_per_visit_reference():
     vocab = VocabSpec(med=6, diag=3, lab=4, proc=2)
     rng = np.random.default_rng(20)
-    embeddings = CodeEmbeddings.init(vocab, 4, rng)
-    med = embeddings.tables["med"].data
+    embeddings = init_table(vocab, 4, rng)
+    med = block(embeddings, vocab, "med")
     med[3] = med[1]                                  # two codes of one type, equal embeddings
     intervals = rng.uniform(-0.1, 0.1, (5, 4))
     visits = [Visit(0.0, {"med": [0, 1, 3, 5], "diag": [2], "lab": [0, 2], "proc": [1]}),
@@ -81,8 +92,8 @@ def test_token_layout_matches_per_visit_reference():
               Visit(3.0, {"med": [], "diag": [0, 1], "lab": [], "proc": [0]}),
               Visit(4.0, {"med": [2, 4], "diag": [], "lab": [1, 2, 3], "proc": [0, 1]})]
     for types in (EVENT_TYPES, ("med", "lab")):
-        tokens = build_token_batch(visits, embeddings, ad.tensor(intervals), types)
-        expected = [reference_tokens(visit, embeddings, intervals[v], types)
+        tokens = build_token_batch(visits, embeddings, ad.tensor(intervals), vocab, types)
+        expected = [reference_tokens(visit, embeddings, vocab, intervals[v], types)
                     for v, visit in enumerate(visits)]
         width = max(len(rows) for rows in expected)
         assert tokens.type_ids.shape == tokens.codes.shape == (len(visits), width)
@@ -101,10 +112,10 @@ def test_token_layout_matches_per_visit_reference():
 
 def test_identical_embeddings_attend_uniformly():
     vocab = VocabSpec(med=1, diag=0, lab=0, proc=0)
-    embeddings = CodeEmbeddings.init(vocab, 3, np.random.default_rng(0))
-    shared = embeddings.tables["med"].data[0].copy()
+    embeddings = init_table(vocab, 3, np.random.default_rng(0))
+    shared = block(embeddings, vocab, "med")[0].copy()
     visit = Visit(time_days=0.0, codes={"med": [0], "diag": [], "lab": [], "proc": []})
-    tokens = build_token_set(visit, embeddings, ad.tensor(shared))
+    tokens = build_token_set(visit, embeddings, ad.tensor(shared), vocab)
     _, rec = attend(tokens, "task-unaware", vocab=vocab)
     np.testing.assert_allclose(rec.weights, 0.5, atol=1e-15)
 
@@ -122,19 +133,14 @@ def test_modes_coincide_without_auxiliary_vocab():
 def test_three_tokens_match_brute_force():
     vocab = VocabSpec(med=2, diag=2, lab=0, proc=0)
     embed_dim = 4
-    tables = {
-        "med": ad.parameter([[0.3, -0.1, 0.5, 0.2], [0.0, 0.0, 0.0, 0.0]]),
-        "diag": ad.parameter([[0.1, 0.1, -0.4, 0.3], [-0.2, 0.6, 0.0, 0.1]]),
-        "lab": ad.parameter(np.zeros((1, 4))),
-        "proc": ad.parameter(np.zeros((1, 4))),
-    }
-    embeddings = CodeEmbeddings(tables=tables)
+    embeddings = ad.parameter([[0.3, -0.1, 0.5, 0.2], [0.0, 0.0, 0.0, 0.0],     # med
+                               [0.1, 0.1, -0.4, 0.3], [-0.2, 0.6, 0.0, 0.1]])   # diag
     visit = Visit(time_days=0.0, codes={"med": [0], "diag": [1], "lab": [], "proc": []})
     interval = ad.tensor([0.05, -0.3, 0.2, 0.4])
-    tokens = build_token_set(visit, embeddings, interval)
+    tokens = build_token_set(visit, embeddings, interval, vocab)
 
     o_t, rec = attend(tokens, "task-unaware", vocab=vocab)
-    embs = [tables["med"].data[0], tables["diag"].data[1], interval.data]
+    embs = [embeddings.data[0], embeddings.data[2 + 1], interval.data]
     outs, weights = brute_force(embs, [0, 1, 2])
 
     np.testing.assert_allclose(rec.weights, weights, rtol=1e-12)
@@ -157,7 +163,7 @@ def test_rows_stochastic_and_layout_widths():
         embeddings, tokens = make_case(vocab, codes, seed=trial)
         mode = "task-aware" if trial % 2 == 0 else "task-unaware"
         o_t, rec = attend(tokens, mode, primary="med", vocab=vocab)
-        assert o_t.shape == (output_width(mode, "med", vocab, 4),)
+        assert o_t.shape == (((vocab.size("med") if mode == "task-aware" else vocab.total()) + 1) * 4,)
         assert np.all(np.abs(rec.weights.sum(axis=1) - 1.0) <= 1e-9)
 
 
@@ -168,12 +174,9 @@ def test_absent_code_neutrality_is_bitwise():
     base, base_rec = attend(tokens, "task-unaware", vocab=vocab)
 
     bigger = VocabSpec(med=4, diag=2, lab=0, proc=0)
-    extended = CodeEmbeddings(
-        tables={**embeddings.tables,
-                "med": ad.parameter(np.vstack([embeddings.tables["med"].data,
-                                               [[9.0, 9.0, 9.0, 9.0]]]))})
+    extended = ad.parameter(np.insert(embeddings.data, vocab.offsets()[1], 9.0, axis=0))
     visit = Visit(time_days=0.0, codes=codes)
-    tokens2 = build_token_set(visit, extended, ad.tensor(interval_of(tokens)))
+    tokens2 = build_token_set(visit, extended, ad.tensor(interval_of(tokens)), bigger)
     grown, grown_rec = attend(tokens2, "task-unaware", vocab=bigger)
 
     np.testing.assert_array_equal(base_rec.weights, grown_rec.weights)
@@ -194,14 +197,11 @@ def test_within_type_permutation_equivariance_exact():
         codes = {"med": [0, 1], "diag": diag_codes, "lab": [], "proc": []}
         embeddings, tokens = make_case(vocab, codes, seed=1000 + trial)
 
-        permuted_tables = dict(embeddings.tables)
-        new_diag = np.empty_like(embeddings.tables["diag"].data)
-        new_diag[perm] = embeddings.tables["diag"].data
-        permuted_tables["diag"] = ad.parameter(new_diag)
-        permuted_emb = CodeEmbeddings(tables=permuted_tables)
+        permuted_emb = ad.parameter(embeddings.data.copy())
+        block(permuted_emb, vocab, "diag")[perm] = block(embeddings, vocab, "diag")
         permuted_codes = {**codes, "diag": sorted(int(perm[c]) for c in diag_codes)}
         tokens_p = build_token_set(Visit(time_days=0.0, codes=permuted_codes),
-                                   permuted_emb, ad.tensor(interval_of(tokens)))
+                                   permuted_emb, ad.tensor(interval_of(tokens)), vocab)
 
         base_o, base_rec = attend(tokens, "task-unaware", vocab=vocab)
         perm_o, perm_rec = attend(tokens_p, "task-unaware", vocab=vocab)
@@ -227,11 +227,10 @@ def test_within_type_permutation_equivariance_batched_task_aware():
     rng = np.random.default_rng(32)
     vocab = VocabSpec(med=6, diag=5, lab=4, proc=3)
     for trial in range(20):
-        embeddings = CodeEmbeddings.init(vocab, 4, rng)
+        embeddings = init_table(vocab, 4, rng)
         perms = {etype: rng.permutation(vocab.size(etype)) for etype in EVENT_TYPES}
-        permuted_emb = CodeEmbeddings(
-            tables={etype: ad.parameter(table.data[np.argsort(perms[etype])])
-                    for etype, table in embeddings.tables.items()})
+        permuted_emb = ad.parameter(np.concatenate(
+            [block(embeddings, vocab, etype)[np.argsort(perms[etype])] for etype in EVENT_TYPES]))
         visits = [Visit(time_days=0.0, codes={etype: sorted(rng.choice(
             vocab.size(etype), size=rng.integers(0, vocab.size(etype) + 1), replace=False).tolist())
             for etype in EVENT_TYPES}) for _ in range(5)]
@@ -239,10 +238,11 @@ def test_within_type_permutation_equivariance_batched_task_aware():
                                                                 for c in visit.codes[etype])
                                                   for etype in EVENT_TYPES}) for visit in visits]
         intervals = ad.tensor(rng.uniform(-0.1, 0.1, (len(visits), 4)))
-        base, base_att = attend_batch(build_token_batch(visits, embeddings, intervals),
-                                      "task-aware", primary="med", vocab=vocab)
-        perm, perm_att = attend_batch(build_token_batch(relabelled, permuted_emb, intervals),
-                                      "task-aware", primary="med", vocab=vocab)
+        bases = slot_bases("task-aware", "med", vocab)
+        base, base_att = attend_batch(build_token_batch(visits, embeddings, intervals, vocab),
+                                      bases)
+        perm, perm_att = attend_batch(build_token_batch(relabelled, permuted_emb, intervals,
+                                                        vocab), bases)
         assert len({len(rec.key_meta) for rec in base_att.records()}) > 1
 
         relabel = lambda m: (m[0], int(perms[m[0]][m[1]])) if m[0] in perms else m
@@ -264,11 +264,11 @@ def test_output_depends_on_interval_gap():
     codes = {"med": [1], "diag": [0], "lab": [0], "proc": []}
     rng = np.random.default_rng(77)
     kernel = TimeKernelParams.init(hidden=3, out=4, rng=rng)
-    embeddings = CodeEmbeddings.init(vocab, 4, rng)
+    embeddings = init_table(vocab, 4, rng)
     visit = Visit(time_days=0.0, codes=codes)
 
     def forward(delta):
-        tokens = build_token_set(visit, embeddings, time_embed(delta, kernel))
+        tokens = build_token_set(visit, embeddings, time_embed(delta, kernel), vocab)
         o_t, _ = attend(tokens, "task-aware", primary="med", vocab=vocab)
         return o_t.data
 
@@ -280,9 +280,9 @@ def test_output_depends_on_interval_gap():
 def test_empty_visit_attends_to_interval_alone():
     vocab = VocabSpec(med=2, diag=1, lab=1, proc=1)
     visit = Visit(time_days=0.0, codes={"med": [], "diag": [], "lab": [], "proc": []})
-    embeddings = CodeEmbeddings.init(vocab, 4, np.random.default_rng(2))
+    embeddings = init_table(vocab, 4, np.random.default_rng(2))
     interval = ad.tensor([0.1, 0.2, -0.3, 0.4])
-    tokens = build_token_set(visit, embeddings, interval)
+    tokens = build_token_set(visit, embeddings, interval, vocab)
     o_t, rec = attend(tokens, "task-aware", primary="med", vocab=vocab)
     np.testing.assert_array_equal(rec.weights, [[1.0]])
     slots = o_t.data.reshape(-1, 4)
@@ -293,18 +293,18 @@ def test_empty_visit_attends_to_interval_alone():
 def test_visits_in_a_batch_match_each_alone_bitwise():
     rng = np.random.default_rng(12)
     vocab = VocabSpec(med=6, diag=5, lab=4, proc=3)
-    embeddings = CodeEmbeddings.init(vocab, 4, rng)
+    embeddings = init_table(vocab, 4, rng)
     visits = [Visit(time_days=0.0, codes={etype: sorted(rng.choice(
         vocab.size(etype), size=rng.integers(0, vocab.size(etype)), replace=False).tolist())
         for etype in ("med", "diag", "lab", "proc")}) for _ in range(6)]
     intervals = rng.uniform(-0.1, 0.1, (len(visits), 4))
     for mode in ("task-aware", "task-unaware"):
-        tokens = build_token_batch(visits, embeddings, ad.tensor(intervals))
-        vectors, attention = attend_batch(tokens, mode, primary="med", vocab=vocab)
+        tokens = build_token_batch(visits, embeddings, ad.tensor(intervals), vocab)
+        vectors, attention = attend_batch(tokens, slot_bases(mode, "med", vocab))
         assert tokens.n_tokens == sum(len(r.key_meta) for r in attention.records())
         for v, (visit, record) in enumerate(zip(visits, attention.records())):
-            alone, alone_rec = attend(build_token_set(visit, embeddings, ad.tensor(intervals[v])),
-                                      mode, primary="med", vocab=vocab)
+            alone, alone_rec = attend(build_token_set(visit, embeddings, ad.tensor(intervals[v]),
+                                                      vocab), mode, primary="med", vocab=vocab)
             np.testing.assert_array_equal(vectors.data[v], alone.data)
             np.testing.assert_array_equal(record.weights, alone_rec.weights)
             assert record.query_meta == alone_rec.query_meta
@@ -313,13 +313,14 @@ def test_visits_in_a_batch_match_each_alone_bitwise():
 def test_task_aware_queries_equal_their_task_unaware_rows_bitwise():
     rng = np.random.default_rng(13)
     vocab = VocabSpec(med=6, diag=5, lab=4, proc=3)
-    embeddings = CodeEmbeddings.init(vocab, 4, rng)
+    embeddings = init_table(vocab, 4, rng)
     visits = [Visit(time_days=0.0, codes={etype: sorted(rng.choice(
         vocab.size(etype), size=rng.integers(0, vocab.size(etype)), replace=False).tolist())
         for etype in ("med", "diag", "lab", "proc")}) for _ in range(6)]
-    tokens = build_token_batch(visits, embeddings, ad.tensor(rng.uniform(-0.1, 0.1, (6, 4))))
-    aware, aware_att = attend_batch(tokens, "task-aware", primary="med", vocab=vocab)
-    unaware, unaware_att = attend_batch(tokens, "task-unaware", vocab=vocab)
+    tokens = build_token_batch(visits, embeddings, ad.tensor(rng.uniform(-0.1, 0.1, (6, 4))),
+                               vocab)
+    aware, aware_att = attend_batch(tokens, slot_bases("task-aware", "med", vocab))
+    unaware, unaware_att = attend_batch(tokens, slot_bases("task-unaware", None, vocab))
     for rec_a, rec_u in zip(aware_att.records(), unaware_att.records()):
         rows = [j for j, (etype, _) in enumerate(rec_u.query_meta) if etype in ("med", "time")]
         assert rec_a.query_meta == [rec_u.query_meta[j] for j in rows]
@@ -338,7 +339,47 @@ def test_raw_slot_layout_matches_attend_layout():
     attended, _ = attend(tokens, "task-aware", primary="med", vocab=vocab)
     assert raw.shape == attended.shape
     slots = raw.data.reshape(-1, 4)
-    np.testing.assert_array_equal(slots[1], embeddings.tables["med"].data[1])
+    np.testing.assert_array_equal(slots[1], block(embeddings, vocab, "med")[1])
     np.testing.assert_array_equal(slots[0], 0.0)
     np.testing.assert_array_equal(slots[3], interval_of(tokens))
 
+
+
+def test_task_unaware_slot_bases_are_the_flat_code_index():
+    vocab = VocabSpec(med=6, diag=5, lab=0, proc=3)
+    offsets = vocab.offsets()
+    assert offsets.tolist() == [0, 6, 11, 11, 14]
+    np.testing.assert_array_equal(slot_bases("task-unaware", None, vocab), offsets)
+    np.testing.assert_array_equal(slot_bases("task-aware", "diag", vocab), [-1, 0, -1, -1, 5])
+    rng = np.random.default_rng(21)
+    embeddings = init_table(vocab, 4, rng)
+    visit = Visit(0.0, {"med": [0, 5], "diag": [2, 4], "lab": [], "proc": [0, 2]})
+    tokens = build_token_set(visit, embeddings, ad.tensor(rng.uniform(-0.1, 0.1, 4)), vocab)
+    for k, (etype, code) in enumerate(tokens.meta(0)[:-1]):
+        np.testing.assert_array_equal(tokens.values.data[0, k],
+                                      embeddings.data[offsets[EVENT_TYPES.index(etype)] + code])
+
+
+def test_slot_bases_reject_unknown_mode_and_missing_primary():
+    vocab = VocabSpec(med=2, diag=1, lab=1, proc=1)
+    with pytest.raises(ValueError, match="^unknown attention mode 'aware'"):
+        slot_bases("aware", "med", vocab)
+    for primary in (None, "mortality"):
+        with pytest.raises(ValueError, match="^task-aware attention requires a primary event type$"):
+            slot_bases("task-aware", primary, vocab)
+
+
+@pytest.mark.parametrize("codes, shown", [
+    ({"med": [0, 2]}, "med code 2 outside vocab of size 2"),
+    ({"med": [-1, 0]}, "med code -1 outside vocab of size 2"),
+    ({"med": [1], "lab": [1]}, "lab code 1 outside vocab of size 1"),
+], ids=["past-the-end", "negative", "into-the-next-type"])
+def test_codes_outside_their_vocab_rejected(codes, shown):
+    vocab = VocabSpec(med=2, diag=1, lab=1, proc=1)
+    embeddings = init_table(vocab, 4, np.random.default_rng(3))
+    visits = [Visit(0.0, {"med": [1]}), Visit(1.0, codes)]
+    intervals = ad.tensor(np.zeros((2, 4)))
+    with pytest.raises(ValueError, match=f"^patient \\?: {shown}$"):
+        build_token_batch(visits, embeddings, intervals, vocab)
+    with pytest.raises(ValueError, match=f"^patient q: {shown}$"):
+        build_token_batch(visits, embeddings, intervals, vocab, owners=["p", "q"])

@@ -176,6 +176,12 @@ class TestValidation:
                                              f"{field} must be a number, got {shown}"):
             load_dataset(str(data))
 
+    @pytest.mark.parametrize("time, shown", [("3", "'3'"), (None, "None"), (True, "True")],
+                             ids=["string", "none", "bool"])
+    def test_non_number_time_rejected_by_validate(self, vocab, time, shown):
+        with pytest.raises(ValueError, match=f"^patient p1: time_days must be a number, got {shown}$"):
+            Visit(time, {"med": [1]}).validate(vocab, owner="p1")
+
     @pytest.mark.parametrize("label, shown", [('"0"', "'0'"), ("2", "2"), ("-1", "-1"),
                                               ("null", "None")],
                              ids=["string", "two", "minus-one", "null"])

@@ -200,11 +200,11 @@ def test_non_finite_scores_rejected_naming_the_metric(name, call, bad):
 
 
 @pytest.mark.parametrize("bad", [0.5, np.nan, 2.0, -1.0])
-@pytest.mark.parametrize("call", [
-    lambda y: auc([[0.3, 0.2, 0.9]], y),
-    lambda y: average_precision([[0.3, 0.2, 0.9]], y),
-    lambda y: topk_recall([[0.3, 0.2, 0.9]], y, 2),
+@pytest.mark.parametrize("name, call", [
+    ("auc", lambda y: auc([[0.3, 0.2, 0.9]], y)),
+    ("average_precision", lambda y: average_precision([[0.3, 0.2, 0.9]], y)),
+    ("topk_recall", lambda y: topk_recall([[0.3, 0.2, 0.9]], y, 2)),
 ], ids=["auc", "average_precision", "topk_recall"])
-def test_labels_other_than_0_and_1_rejected(call, bad):
-    with pytest.raises(ValueError, match="^labels must be 0 or 1$"):
+def test_labels_other_than_0_and_1_rejected(name, call, bad):
+    with pytest.raises(ValueError, match=f"^{name}: labels must be 0 or 1$"):
         call([[bad, 1, 0]])

@@ -136,6 +136,25 @@ def test_instance_arrays_checked_against_its_visits(field, change, shown):
         dataclasses.replace(patient_c, **{field: change(getattr(patient_c, field))})
 
 
+def test_visit_time_that_is_not_a_number_rejected_naming_the_patient():
+    _, instances = build(tiny_config())
+    with pytest.raises(ValueError, match="^patient c: time_days must be a number, got '3'$"):
+        dataclasses.replace(instances[2], visits=[Visit(1.0, {"med": [1]}), Visit("3", {})])
+
+
+@pytest.mark.parametrize("codes, shown", [
+    ({"med": [3]}, "med code 3 outside vocab of size 3"),
+    ({"diag": [2]}, "diag code 2 outside vocab of size 2"),
+    ({"med": [-1]}, "med code -1 outside vocab of size 3"),
+    ({"med": [40]}, "med code 40 outside vocab of size 3"),
+], ids=["med-reads-diag", "diag-reads-lab", "med-reads-padding", "med-past-the-table"])
+def test_codes_outside_their_vocab_rejected_naming_the_patient(codes, shown):
+    model, instances = build(tiny_config())
+    bad = dataclasses.replace(instances[2], visits=[Visit(1.0, {"med": [0]}), Visit(2.0, codes)])
+    with pytest.raises(ValueError, match=f"^patient c: {shown}$"):
+        model.predict([instances[0], bad])
+
+
 def test_instance_gaps_derived_from_its_visits():
     _, instances = build(tiny_config())
     patient_c = instances[2]                         # input visits at days 1, 5 and 6.5
@@ -160,7 +179,7 @@ def test_non_finite_state_rejected_by_name():
     model, instances = build(tiny_config(), seed=2)
     before = model.predict(instances)
     state = model.state_arrays()
-    state["emb_diag"] = np.zeros_like(state["emb_diag"])   # would load, but must not
+    state["emb"] = np.zeros_like(state["emb"])   # would load, but must not
     state["out_b"] = np.full_like(state["out_b"], np.nan)
     with pytest.raises(ValueError, match="^out_b: non-finite values$"):
         model.load_state_arrays(state)
@@ -296,7 +315,8 @@ class TestBatchContracts:
             for perm in perms:
                 permuted = CatnetModel(cfg, vocab, np.random.default_rng(0))
                 state = model.state_arrays()
-                state["emb_diag"] = state["emb_diag"][np.argsort(perm)]
+                diag = slice(*vocab.offsets()[1:3])
+                state["emb"][diag] = state["emb"][diag][np.argsort(perm)]
                 permuted.load_state_arrays(state)
                 relabelled = [
                     PatientRecord(r.patient_id, r.age_years, r.sex,
@@ -321,8 +341,9 @@ class TestBatchContracts:
         bigger = VocabSpec(med=3, diag=4, lab=2, proc=1)
         grown = CatnetModel(cfg, bigger, np.random.default_rng(0))
         state = model.state_arrays()
-        state["emb_diag"] = np.vstack([state["emb_diag"], np.full((2, 3), 9.0)])
-        state["emb_lab"] = np.vstack([state["emb_lab"], np.full((1, 3), -9.0)])
+        offsets = tiny_vocab().offsets()       # two diag rows and one lab row appended
+        state["emb"] = np.insert(state["emb"], [offsets[2], offsets[2], offsets[3]],
+                                 [[9.0] * 3, [9.0] * 3, [-9.0] * 3], axis=0)
         grown.load_state_arrays(state)
         np.testing.assert_array_equal(
             model.predict(instances),
