@@ -69,7 +69,7 @@ class Visit:
     time_days: float
     codes: dict
 
-    def validate(self, vocab: VocabSpec, owner: str = "?"):
+    def validate(self, vocab: VocabSpec = None, owner: str = "?"):
         _as_number(self.time_days, owner, "time_days")
         if not (math.isfinite(self.time_days) and self.time_days >= 0):
             raise ValueError(f"patient {owner}: visit time must be finite and >= 0")
@@ -89,6 +89,8 @@ class Visit:
             if not all(map(operator.lt, lst, lst[1:])):
                 raise ValueError(
                     f"patient {owner}: {etype} codes must be sorted and duplicate-free")
+            if vocab is None:
+                continue
             # Sorted, so only the ends can fall outside; name the first such code in the list.
             size = vocab.size(etype)
             if lst[0] < 0 or lst[-1] >= size:
@@ -97,6 +99,16 @@ class Visit:
 
     def codes_for(self, event_type: str):
         return self.codes.get(event_type, [])
+
+
+def check_visits(visits, owner, vocab: VocabSpec = None):
+    """Raise an error naming patient ``owner`` unless every visit passes
+    :meth:`Visit.validate` and the visit times strictly increase."""
+    for v in visits:
+        v.validate(vocab, owner)
+    times = [v.time_days for v in visits]
+    if any(map(operator.le, times[1:], times)):
+        raise ValueError(f"patient {owner}: visit times must be strictly increasing")
 
 
 @dataclass
@@ -117,11 +129,7 @@ class PatientRecord:
             raise ValueError(f"patient {pid}: sex must be 'F' or 'M'")
         if len(self.visits) < 2:
             raise ValueError(f"patient {pid}: records need at least two visits")
-        times = [v.time_days for v in self.visits]
-        if any(map(operator.le, times[1:], times)):
-            raise ValueError(f"patient {pid}: visit times must be strictly increasing")
-        for v in self.visits:
-            v.validate(vocab, owner=pid)
+        check_visits(self.visits, pid, vocab)
 
     def demographics_vector(self) -> np.ndarray:
         """``DEMOGRAPHICS_DIM`` raw features: (age/100, female one-hot, male one-hot)."""

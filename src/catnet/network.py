@@ -30,9 +30,7 @@ stands in for every gap; dropped event types are removed from every visit.
 
 from __future__ import annotations
 
-import math
 import numbers
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +39,7 @@ from catnet import autodiff as ad
 from catnet.aggregate import HeadParams, fuse_and_predict, global_time_gate, visit_self_attention
 from catnet.attention import attend, build_token_set, raw_slot_layout, slot_bases
 from catnet.backbone import GATES, RecurrentParams, run_sequence
-from catnet.cohort import DEMOGRAPHICS_DIM, EVENT_TYPES, TaskSpec, VocabSpec
+from catnet.cohort import DEMOGRAPHICS_DIM, EVENT_TYPES, TaskSpec, VocabSpec, check_visits
 from catnet.time_kernel import TimeKernelParams, time_embed
 
 COMPONENT_DROPS = ("cross", "visit", "global")
@@ -117,15 +115,8 @@ class TaskInstance:
         pid = self.patient_id
         if not self.visits:
             raise ValueError(f"patient {pid}: an instance needs at least one visit")
-        times = [v.time_days for v in self.visits]
-        try:
-            finite = all(map(math.isfinite, times))
-        except TypeError:
-            bad = next(t for t in times if not isinstance(t, numbers.Real))
-            raise ValueError(f"patient {pid}: time_days must be a number, got {bad!r}") from None
-        if not finite or any(map(operator.le, times[1:], times)):
-            raise ValueError(f"patient {pid}: visit times must be finite and strictly increasing")
-        t = np.array(times, dtype=np.float64)
+        check_visits(self.visits, pid)
+        t = np.array([v.time_days for v in self.visits], dtype=np.float64)
         self.delta_prev = np.concatenate(([0.0], t[1:] - t[:-1]))
         self.delta_global = t - t[0]
         self._check_shapes(demo=(DEMOGRAPHICS_DIM,))
