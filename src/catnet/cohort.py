@@ -3,6 +3,12 @@
 A cohort is a JSONL file (one patient per line) plus a ``vocab.json`` sidecar
 giving the per-event-type code counts.  Records are treated as immutable after
 loading and are safe to share across threads for reading.
+
+:func:`check_visits` holds the visit contract: each visit passes
+:meth:`Visit.validate`, and the visit times strictly increase.
+:meth:`PatientRecord.validate` (so :func:`load_dataset`) calls it with the
+vocabulary; ``network.TaskInstance`` calls it without one, and the model checks
+code ranges against its own vocabulary.
 """
 
 from __future__ import annotations
@@ -70,9 +76,14 @@ class Visit:
     codes: dict
 
     def validate(self, vocab: VocabSpec = None, owner: str = "?"):
+        """Raise an error naming patient ``owner`` unless the time is a finite number >= 0
+        and the codes map event types to sorted, duplicate-free lists of integers, each
+        inside ``vocab`` when one is given."""
         _as_number(self.time_days, owner, "time_days")
         if not (math.isfinite(self.time_days) and self.time_days >= 0):
             raise ValueError(f"patient {owner}: visit time must be finite and >= 0")
+        if not isinstance(self.codes, dict):
+            raise ValueError(f"patient {owner}: visit codes must be an object, got {self.codes!r}")
         if self.codes.keys() - EVENT_TYPES:
             key = next(k for k in self.codes if k not in EVENT_TYPES)
             raise ValueError(f"patient {owner}: unknown event type {key!r} in visit codes; "
@@ -123,10 +134,13 @@ class PatientRecord:
 
     def validate(self, vocab: VocabSpec):
         pid = self.patient_id
-        if not 0.0 <= self.age_years <= 120.0:
+        if not 0.0 <= _as_number(self.age_years, pid, "age_years") <= 120.0:
             raise ValueError(f"patient {pid}: age_years {self.age_years} outside [0, 120]")
         if self.sex not in ("F", "M"):
             raise ValueError(f"patient {pid}: sex must be 'F' or 'M'")
+        if type(self.mortality) not in (bool, int) or self.mortality not in (0, 1):
+            raise ValueError(f"patient {pid}: mortality must be 0, 1, true or false, "
+                             f"got {self.mortality!r}")
         if len(self.visits) < 2:
             raise ValueError(f"patient {pid}: records need at least two visits")
         check_visits(self.visits, pid, vocab)
@@ -152,13 +166,12 @@ class PatientRecord:
     @classmethod
     def from_dict(cls, d: dict) -> "PatientRecord":
         pid, demo, mortality = str(d["patient_id"]), d["demographics"], d["mortality"]
-        if type(mortality) not in (bool, int) or mortality not in (0, 1):
-            raise ValueError(f"patient {pid}: mortality must be 0, 1, true or false, "
-                             f"got {mortality!r}")
+        if type(mortality) is int and mortality in (0, 1):
+            mortality = bool(mortality)   # other values are kept for validate to judge
         visits = [Visit(time_days=_as_number(v["time_days"], pid, "time_days"),
-                        codes=_code_lists(v["codes"], pid)) for v in d["visits"]]
+                        codes=_code_lists(v["codes"])) for v in d["visits"]]
         return cls(patient_id=pid, age_years=_as_number(demo["age_years"], pid, "age_years"),
-                   sex=str(demo["sex"]), visits=visits, mortality=bool(mortality))
+                   sex=str(demo["sex"]), visits=visits, mortality=mortality)
 
 
 def _is_number(x) -> bool:
@@ -183,13 +196,13 @@ def _as_code(c):
     return int(c) if _is_code(c) else c
 
 
-def _code_lists(codes, pid) -> dict:
-    """A visit's codes keyed as in the input, lists converted; else an error naming the patient.
+def _code_lists(codes) -> dict:
+    """A visit's codes keyed as in the input, lists converted.
 
-    Anything but a list is kept as it is, for ``Visit.validate`` to reject.
+    Anything but a dict of lists is kept as it is, for ``Visit.validate`` to reject.
     """
     if not isinstance(codes, dict):
-        raise ValueError(f"patient {pid}: visit codes must be an object, got {codes!r}")
+        return codes
     return {t: [c if type(c) is int else _as_code(c) for c in lst]
             if t in EVENT_TYPES and type(lst) is list else lst for t, lst in codes.items()}
 

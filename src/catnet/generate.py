@@ -31,6 +31,10 @@ from catnet.cohort import EVENT_TYPES, PatientRecord, Visit, VocabSpec
 _MIN_GAP_DAYS = 0.05
 
 
+def _is_integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclass
 class PlantedRule:
     """Trigger code at one visit boosts an effect code's odds at the next."""
@@ -46,6 +50,9 @@ class PlantedRule:
         for etype in (self.trigger_type, self.effect_type):
             if etype not in EVENT_TYPES:
                 raise ValueError(f"unknown event type {etype!r} in rule")
+        for name in ("trigger_code", "effect_code"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"rule {name} must be an integer, got {getattr(self, name)!r}")
         if not (math.isfinite(self.boost) and self.boost > 1.0):
             raise ValueError(f"rule boost must be a finite number above 1, got {self.boost!r}")
         if not (math.isfinite(self.halflife_days) and self.halflife_days > 0.0):
@@ -87,7 +94,7 @@ class GenConfig:
     def __post_init__(self):
         for name in ("n_patients", "min_visits", "max_visits"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_patients < 1:
             raise ValueError(f"n_patients must be at least 1, got {self.n_patients}")
@@ -109,7 +116,7 @@ class GenConfig:
                              f"missing {missing}, extra {extra}")
         for etype in EVENT_TYPES:
             values = self.prevalence(etype)
-            if values.ndim != 1 or np.any((values < 0) | (values > 1)):
+            if values.ndim != 1 or not np.all((values >= 0) & (values <= 1)):
                 raise ValueError(f"base prevalence for {etype} must be a list of values in [0, 1]")
         vocab = self.vocab()
         for rule in self.rules:
@@ -118,6 +125,8 @@ class GenConfig:
                 if not 0 <= code < vocab.size(etype):
                     raise ValueError(f"rule code {etype}:{code} outside vocabulary")
         for etype, code in self.severe_codes:
+            if not _is_integer(code):
+                raise ValueError(f"severe code {etype}:{code!r} must be an integer")
             if etype not in EVENT_TYPES or not 0 <= code < vocab.size(etype):
                 raise ValueError(f"severe code {etype}:{code} outside vocabulary")
 
@@ -202,8 +211,11 @@ def generate(config: GenConfig, seed: int):
     """Deterministic cohort for (config, seed); returns (records, vocab).
 
     ``seed`` is an integer in [0, 2**64), the high half of each patient's Philox key.
+    Only ``config`` and ``seed`` are checked here: the records are built to keep the
+    visit contract and are not validated again, so whoever uses them checks them
+    (``load_dataset`` on a saved cohort, ``TaskInstance`` and the model in code).
     """
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
+    if not _is_integer(seed) or not 0 <= seed < 2**64:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     seed = int(seed)
     vocab = config.vocab()

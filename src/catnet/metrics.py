@@ -5,7 +5,8 @@ pooled before computing AUC or average precision.  Ties are handled
 explicitly: AUC counts a tied positive/negative pair as half a win, while
 average precision and top-k recall order tied scores by ascending index so
 results are deterministic.  Every metric rejects scores that are NaN or
-infinite and labels other than 0 and 1, naming itself in the error.
+infinite, labels other than 0 and 1, mismatched shapes and undefined values,
+naming itself in the error.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ def _flat(scores, labels, metric: str):
     s = _finite(scores, metric).reshape(-1)
     y = _binary(labels, metric).reshape(-1)
     if s.shape != y.shape:
-        raise ValueError(f"scores shape {s.shape} != labels shape {y.shape}")
+        raise ValueError(f"{metric}: scores shape {s.shape} != labels shape {y.shape}")
     return s, y
 
 
@@ -54,7 +55,7 @@ def auc(scores, labels) -> float:
     n_pos = int(y.sum())
     n_neg = y.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise ValueError("AUC undefined: need at least one positive and one negative")
+        raise ValueError("auc: AUC undefined: need at least one positive and one negative")
     ranks = _average_ranks(s)
     u = ranks[y == 1.0].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
@@ -65,7 +66,7 @@ def average_precision(scores, labels) -> float:
     s, y = _flat(scores, labels, "average_precision")
     n_pos = int(y.sum())
     if n_pos == 0:
-        raise ValueError("average precision undefined: no positives")
+        raise ValueError("average_precision: average precision undefined: no positives")
     ys = y[np.lexsort((np.arange(s.shape[0]), -s))]
     precision = np.cumsum(ys) / np.arange(1, ys.shape[0] + 1)
     total = np.cumsum(precision[ys == 1.0])[-1]  # sequential, in rank order
@@ -79,11 +80,11 @@ def topk_recall(score_rows, label_rows, k: int):
     ``(mean_recall, n_scored, n_skipped)``.
     """
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise ValueError(f"topk_recall: k must be >= 1, got {k}")
     score_rows = _finite(score_rows, "topk_recall")
     label_rows = _binary(label_rows, "topk_recall")
     if score_rows.shape != label_rows.shape or score_rows.ndim != 2:
-        raise ValueError(f"need matching 2-D scores/labels, got "
+        raise ValueError(f"topk_recall: need matching 2-D scores/labels, got "
                          f"{score_rows.shape} and {label_rows.shape}")
     true = label_rows == 1.0
     scored = true.any(axis=1)

@@ -102,7 +102,11 @@ class ModelConfig:
 
 @dataclass
 class TaskInstance:
-    """Model-ready view of one patient for one task; its gaps are derived from its visits."""
+    """Model-ready view of one patient for one task; its gaps are derived from its visits.
+
+    The visits must keep :func:`~catnet.cohort.check_visits`'s contract.  Their
+    code ranges are not checked here: the model checks them against its vocabulary.
+    """
 
     patient_id: str
     visits: list

@@ -207,6 +207,24 @@ class TestValidation:
         before = [r.mortality for r in make_cohort(2)]
         assert [r.mortality for r in load_dataset(str(data))[0]] == [not m for m in before]
 
+    def test_non_number_age_rejected_by_validate(self, vocab):
+        rec = make_record()
+        rec.age_years = "63"
+        with pytest.raises(ValueError, match="^patient p0: age_years must be a number, got '63'$"):
+            rec.validate(vocab)
+
+    @pytest.mark.parametrize("mortality", ["no", 2, None], ids=["string", "two", "none"])
+    def test_malformed_mortality_rejected_by_validate(self, vocab, mortality):
+        with pytest.raises(ValueError, match="^patient p0: mortality must be 0, 1, true or "
+                                             f"false, got {re.escape(repr(mortality))}$"):
+            make_record(mortality=mortality).validate(vocab)
+
+    def test_code_range_checked_only_against_a_given_vocab(self, vocab):
+        visit = Visit(1.0, {"med": [0, 99]})
+        visit.validate()
+        with pytest.raises(ValueError, match="^patient p1: med code 99 outside vocab of size 4$"):
+            visit.validate(vocab, owner="p1")
+
     def test_unknown_event_type_in_visit_rejected_on_load(self, tmp_path, vocab):
         data = tmp_path / "cohort.jsonl"
         save_dataset(make_cohort(3), vocab, str(data))

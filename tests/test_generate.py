@@ -130,6 +130,21 @@ def test_saved_cohort_bytes_are_pinned(tmp_path, name):
     assert hashlib.sha256(data.read_bytes()).hexdigest() == expected
 
 
+# The benchmark's workload cohorts: both train workloads have the default shape.
+WORKLOAD_COHORTS = {
+    "default-2000": GenConfig.default,
+    "long-sparse-1600": lambda: dataclasses.replace(_long_sparse(), n_patients=1600),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COHORTS) + sorted(WORKLOAD_COHORTS))
+def test_generated_records_keep_the_visit_contract(name):
+    make_config = WORKLOAD_COHORTS[name] if name in WORKLOAD_COHORTS else GOLDEN_COHORTS[name][0]
+    records, vocab = generate(make_config(), 7919)
+    for rec in records:
+        rec.validate(vocab)
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("n_patients", 2.5, "n_patients must be an integer, got 2.5"),
     ("n_patients", True, "n_patients must be an integer, got True"),
@@ -185,3 +200,24 @@ def test_non_finite_rule_fields_rejected_naming_them(field, message, value):
                 boost=14.0, halflife_days=30.0)
     with pytest.raises(ValueError, match=f"^{message}, got {value!r}$"):
         PlantedRule(**dict(rule, **{field: value}))
+
+
+def test_nan_prevalence_rejected():
+    with pytest.raises(ValueError, match=r"^base prevalence for med must be a list of values "
+                                         r"in \[0, 1\]$"):
+        GenConfig(base_prevalence=dict(GenConfig().base_prevalence, med=[0.1, math.nan]))
+
+
+@pytest.mark.parametrize("value", [1.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("field", ["trigger_code", "effect_code"])
+def test_rule_codes_must_be_integers(field, value):
+    rule = dict(trigger_type="diag", trigger_code=0, effect_type="med", effect_code=0,
+                boost=14.0, halflife_days=30.0)
+    with pytest.raises(ValueError, match=f"^rule {field} must be an integer, got {value!r}$"):
+        PlantedRule(**dict(rule, **{field: value}))
+
+
+@pytest.mark.parametrize("code", [1.5, True], ids=["float", "bool"])
+def test_severe_codes_must_be_integers(code):
+    with pytest.raises(ValueError, match=f"^severe code diag:{code!r} must be an integer$"):
+        GenConfig(severe_codes=[("diag", 0), ("diag", code)])

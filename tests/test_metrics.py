@@ -208,3 +208,21 @@ def test_non_finite_scores_rejected_naming_the_metric(name, call, bad):
 def test_labels_other_than_0_and_1_rejected(name, call, bad):
     with pytest.raises(ValueError, match=f"^{name}: labels must be 0 or 1$"):
         call([[bad, 1, 0]])
+
+
+@pytest.mark.parametrize("name, call, rest", [
+    ("auc", lambda: auc([0.1, 0.2, 0.3], [0, 1]), r"scores shape \(3,\) != labels shape \(2,\)"),
+    ("average_precision", lambda: average_precision([0.1, 0.2, 0.3], [0, 1]),
+     r"scores shape \(3,\) != labels shape \(2,\)"),
+    ("topk_recall", lambda: topk_recall([[0.1, 0.2]], [[0, 1, 0]], 1),
+     r"need matching 2-D scores/labels, got \(1, 2\) and \(1, 3\)"),
+    ("auc", lambda: auc([0.1, 0.9], [1, 1]), "AUC undefined: need at least one positive and "
+                                               "one negative"),
+    ("average_precision", lambda: average_precision([0.5, 0.6], [0, 0]),
+     "average precision undefined: no positives"),
+    ("topk_recall", lambda: topk_recall([[0.1, 0.2]], [[0, 1]], 0), "k must be >= 1, got 0"),
+], ids=["auc-shape", "average_precision-shape", "topk_recall-shape", "auc-undefined",
+        "average_precision-undefined", "topk_recall-k"])
+def test_every_metric_error_names_the_metric(name, call, rest):
+    with pytest.raises(ValueError, match=f"^{name}: {rest}$"):
+        call()

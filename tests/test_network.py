@@ -155,6 +155,24 @@ def test_codes_outside_their_vocab_rejected_naming_the_patient(codes, shown):
         model.predict([instances[0], bad])
 
 
+@pytest.mark.parametrize("visit, shown", [
+    (Visit(2.0, {"med": [1.7]}), "non-integer med code 1.7"),
+    (Visit(2.0, {"med": ["1"]}), "non-integer med code '1'"),
+    (Visit(2.0, {"med": [1, 1]}), "med codes must be sorted and duplicate-free"),
+    (Visit(2.0, {"med": [2, 1]}), "med codes must be sorted and duplicate-free"),
+    (Visit(2.0, {"medd": [1]}), "unknown event type 'medd' in visit codes"),
+    (Visit(True, {"med": [1]}), "time_days must be a number, got True"),
+    (Visit(-2.0, {"med": [1]}), "visit time must be finite and >= 0"),
+    (Visit(2.0, {"med": (1,)}), r"med codes must be a list, got \(1,\)"),
+    (Visit(2.0, [1, 2]), r"visit codes must be an object, got \[1, 2\]"),
+], ids=["float-code", "string-code", "duplicate-code", "unsorted-codes", "misspelt-type",
+        "bool-time", "negative-time", "tuple-codes", "codes-not-a-dict"])
+def test_instance_visits_keep_the_loaders_contract(visit, shown):
+    _, instances = build(tiny_config())
+    with pytest.raises(ValueError, match=f"^patient c: {shown}"):
+        dataclasses.replace(instances[2], visits=[Visit(1.0, {"med": [0]}), visit])
+
+
 def test_instance_gaps_derived_from_its_visits():
     _, instances = build(tiny_config())
     patient_c = instances[2]                         # input visits at days 1, 5 and 6.5
