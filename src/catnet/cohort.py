@@ -4,6 +4,10 @@ A cohort is a JSONL file (one patient per line) plus a ``vocab.json`` sidecar
 giving the per-event-type code counts.  Records are treated as immutable after
 loading and are safe to share across threads for reading.
 
+The loader keeps each JSON value as parsed (integer times and ages, ``1.0``
+codes, 0/1 mortality) and makes only the patient id a string; the ``validate``
+methods alone judge them, and a re-save writes them back as read.
+
 :func:`check_visits` holds the visit contract: each visit passes
 :meth:`Visit.validate`, and the visit times strictly increase.
 :meth:`PatientRecord.validate` (so :func:`load_dataset`) calls it with the
@@ -41,7 +45,7 @@ class VocabSpec:
     def __post_init__(self):
         for etype in EVENT_TYPES:
             n = getattr(self, etype)
-            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+            if not _is_integer(n) or n < 0:
                 raise ValueError(f"vocab size for {etype} must be a non-negative integer, got {n!r}")
         if self.total() < 1:
             raise ValueError("vocabulary must contain at least one code overall")
@@ -84,12 +88,10 @@ class Visit:
             raise ValueError(f"patient {owner}: visit time must be finite and >= 0")
         if not isinstance(self.codes, dict):
             raise ValueError(f"patient {owner}: visit codes must be an object, got {self.codes!r}")
-        if self.codes.keys() - EVENT_TYPES:
-            key = next(k for k in self.codes if k not in EVENT_TYPES)
-            raise ValueError(f"patient {owner}: unknown event type {key!r} in visit codes; "
-                             f"expected one of {EVENT_TYPES}")
-        for etype in EVENT_TYPES:
-            lst = self.codes.get(etype, [])
+        for etype, lst in self.codes.items():
+            if etype not in EVENT_TYPES:
+                raise ValueError(f"patient {owner}: unknown event type {etype!r} in visit codes; "
+                                 f"expected one of {EVENT_TYPES}")
             if type(lst) is not list:
                 raise ValueError(f"patient {owner}: {etype} codes must be a list, got {lst!r}")
             if not lst:
@@ -124,7 +126,8 @@ def check_visits(visits, owner, vocab: VocabSpec = None):
 
 @dataclass
 class PatientRecord:
-    """Demographics plus at least two visits in strictly increasing time."""
+    """Demographics plus at least two visits in strictly increasing time; mortality 0, 1,
+    true or false."""
 
     patient_id: str
     age_years: float
@@ -165,18 +168,22 @@ class PatientRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PatientRecord":
-        pid, demo, mortality = str(d["patient_id"]), d["demographics"], d["mortality"]
-        if type(mortality) is int and mortality in (0, 1):
-            mortality = bool(mortality)   # other values are kept for validate to judge
-        visits = [Visit(time_days=_as_number(v["time_days"], pid, "time_days"),
-                        codes=_code_lists(v["codes"])) for v in d["visits"]]
-        return cls(patient_id=pid, age_years=_as_number(demo["age_years"], pid, "age_years"),
-                   sex=str(demo["sex"]), visits=visits, mortality=mortality)
+        """The record as parsed, with the patient id made a string; :meth:`validate` judges
+        the rest.  Mortality may be 0, 1, true or false."""
+        demo = d["demographics"]
+        return cls(patient_id=str(d["patient_id"]), age_years=demo["age_years"], sex=demo["sex"],
+                   visits=[Visit(v["time_days"], v["codes"]) for v in d["visits"]],
+                   mortality=d["mortality"])
 
 
 def _is_number(x) -> bool:
     """True for a real number that is not a bool; plain floats and ints skip the slow ABC check."""
     return type(x) in (float, int) or (isinstance(x, numbers.Real) and not isinstance(x, bool))
+
+
+def _is_integer(x) -> bool:
+    """True for an integer that is not a bool (numpy integers included)."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _as_number(x, pid, field) -> float:
@@ -189,22 +196,6 @@ def _as_number(x, pid, field) -> float:
 def _is_code(c) -> bool:
     """True for a finite integral number that is not a bool."""
     return type(c) is int or (_is_number(c) and math.isfinite(c) and int(c) == c)
-
-
-def _as_code(c):
-    """``c`` as an int if it is a code; else unchanged, for ``Visit.validate`` to reject."""
-    return int(c) if _is_code(c) else c
-
-
-def _code_lists(codes) -> dict:
-    """A visit's codes keyed as in the input, lists converted.
-
-    Anything but a dict of lists is kept as it is, for ``Visit.validate`` to reject.
-    """
-    if not isinstance(codes, dict):
-        return codes
-    return {t: [c if type(c) is int else _as_code(c) for c in lst]
-            if t in EVENT_TYPES and type(lst) is list else lst for t, lst in codes.items()}
 
 
 @dataclass
@@ -244,7 +235,10 @@ class TaskSpec:
 
 
 def split_dataset(records, seed: int):
-    """Deterministic shuffle and 8:1:1 split with floor-sized val/test."""
+    """Deterministic shuffle and 8:1:1 split with floor-sized val/test; ``seed`` is an
+    integer >= 0."""
+    if not _is_integer(seed) or seed < 0:
+        raise ValueError(f"split_dataset: seed must be a non-negative integer, got {seed!r}")
     n = len(records)
     if n < 10:
         raise ValueError(f"need at least 10 records to split, got {n}")

@@ -20,19 +20,21 @@ draws, the start time; per visit one ``random(n_codes)`` over all codes in
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from catnet.cohort import EVENT_TYPES, PatientRecord, Visit, VocabSpec
+from catnet.cohort import EVENT_TYPES, PatientRecord, Visit, VocabSpec, _is_integer, _is_number
 
 _MIN_GAP_DAYS = 0.05
 
 
-def _is_integer(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+def _check_numbers(owner, names, prefix=""):
+    """Raise an error naming the field unless each named field of ``owner`` is a number."""
+    for name in names:
+        if not _is_number(getattr(owner, name)):
+            raise ValueError(f"{prefix}{name} must be a number, got {getattr(owner, name)!r}")
 
 
 @dataclass
@@ -53,6 +55,7 @@ class PlantedRule:
         for name in ("trigger_code", "effect_code"):
             if not _is_integer(getattr(self, name)):
                 raise ValueError(f"rule {name} must be an integer, got {getattr(self, name)!r}")
+        _check_numbers(self, ("boost", "halflife_days"), prefix="rule ")
         if not (math.isfinite(self.boost) and self.boost > 1.0):
             raise ValueError(f"rule boost must be a finite number above 1, got {self.boost!r}")
         if not (math.isfinite(self.halflife_days) and self.halflife_days > 0.0):
@@ -102,9 +105,11 @@ class GenConfig:
             raise ValueError("min_visits must be at least 2")
         if self.max_visits < self.min_visits:
             raise ValueError("max_visits must be >= min_visits")
+        floats = ("gap_log_mu", "gap_log_sigma", "mortality_intercept", "mortality_weight")
+        _check_numbers(self, ("continue_prob",) + floats)
         if not 0.0 <= self.continue_prob <= 1.0:
             raise ValueError("continue_prob must lie in [0, 1]")
-        for name in ("gap_log_mu", "gap_log_sigma", "mortality_intercept", "mortality_weight"):
+        for name in floats:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.gap_log_sigma <= 0.0:
@@ -115,16 +120,21 @@ class GenConfig:
             raise ValueError(f"base_prevalence needs one list per event type {EVENT_TYPES}; "
                              f"missing {missing}, extra {extra}")
         for etype in EVENT_TYPES:
-            values = self.prevalence(etype)
-            if values.ndim != 1 or not np.all((values >= 0) & (values <= 1)):
+            values = self.base_prevalence[etype]
+            if np.ndim(values) != 1 or not all(_is_number(p) and 0 <= p <= 1 for p in values):
                 raise ValueError(f"base prevalence for {etype} must be a list of values in [0, 1]")
         vocab = self.vocab()
         for rule in self.rules:
+            if not isinstance(rule, PlantedRule):
+                raise ValueError(f"rules must hold PlantedRule entries, got {rule!r}")
             for etype, code in ((rule.trigger_type, rule.trigger_code),
                                 (rule.effect_type, rule.effect_code)):
                 if not 0 <= code < vocab.size(etype):
                     raise ValueError(f"rule code {etype}:{code} outside vocabulary")
-        for etype, code in self.severe_codes:
+        for entry in self.severe_codes:
+            if not (isinstance(entry, (tuple, list)) and len(entry) == 2):
+                raise ValueError(f"severe_codes must hold (event type, code) pairs, got {entry!r}")
+            etype, code = entry
             if not _is_integer(code):
                 raise ValueError(f"severe code {etype}:{code!r} must be an integer")
             if etype not in EVENT_TYPES or not 0 <= code < vocab.size(etype):

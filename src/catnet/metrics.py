@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from catnet.cohort import _is_integer
+
 TOPK_GRID = (10, 20, 30, 40, 50)
 
 
@@ -79,6 +81,8 @@ def topk_recall(score_rows, label_rows, k: int):
     Instances without any true code are skipped; returns
     ``(mean_recall, n_scored, n_skipped)``.
     """
+    if not _is_integer(k):
+        raise ValueError(f"topk_recall: k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError(f"topk_recall: k must be >= 1, got {k}")
     score_rows = _finite(score_rows, "topk_recall")

@@ -30,7 +30,6 @@ stands in for every gap; dropped event types are removed from every visit.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +38,8 @@ from catnet import autodiff as ad
 from catnet.aggregate import HeadParams, fuse_and_predict, global_time_gate, visit_self_attention
 from catnet.attention import attend, build_token_set, raw_slot_layout, slot_bases
 from catnet.backbone import GATES, RecurrentParams, run_sequence
-from catnet.cohort import DEMOGRAPHICS_DIM, EVENT_TYPES, TaskSpec, VocabSpec, check_visits
+from catnet.cohort import (DEMOGRAPHICS_DIM, EVENT_TYPES, TaskSpec, VocabSpec, _is_integer,
+                           _is_number, check_visits)
 from catnet.time_kernel import TimeKernelParams, time_embed
 
 COMPONENT_DROPS = ("cross", "visit", "global")
@@ -83,7 +83,7 @@ class ModelConfig:
                              f"expected one of {tuple(GATES)}")
         for name in ("embed_dim", "kernel_dim", "hidden_dim", "demo_dim"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            if not _is_integer(value) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         object.__setattr__(self, "drops", resolve_drops(self.drops, self.task))
         if self.dropped_types() == set(EVENT_TYPES):
@@ -124,8 +124,8 @@ class TaskInstance:
         self.delta_prev = np.concatenate(([0.0], t[1:] - t[:-1]))
         self.delta_global = t - t[0]
         self._check_shapes(demo=(DEMOGRAPHICS_DIM,))
-        if not np.isfinite(self.demo).all():
-            raise ValueError(f"patient {pid}: demo must be finite")
+        if np.asarray(self.demo).dtype.kind not in "biuf" or not np.isfinite(self.demo).all():
+            raise ValueError(f"patient {pid}: demo must be finite numbers, got {self.demo!r}")
         target = np.asarray(self.target)
         if np.count_nonzero(target) != np.count_nonzero(target == 1.0):
             raise ValueError(f"patient {pid}: target entries must be 0 or 1")
@@ -139,13 +139,18 @@ class TaskInstance:
 
 
 def build_instances(records, task: TaskSpec, vocab: VocabSpec):
-    """One instance per record, with the inputs and target that :class:`TaskSpec` describes."""
+    """One instance per record, with the inputs and target that :class:`TaskSpec` describes.
+
+    A code task's last visit is checked as the inputs are, then its integral codes of
+    the target type (``1.0`` too) mark the target; mortality 1 or true makes ``[1.0]``.
+    """
     instances = []
     for rec in records:
         if task.is_code_task:
             visits, last = rec.visits[:-1], rec.visits[-1:]   # no visits: TaskInstance rejects
+            check_visits(last, rec.patient_id)
             target = np.zeros(vocab.size(task.target))
-            target[[c for v in last for c in v.codes_for(task.target)]] = 1.0
+            target[np.array([c for v in last for c in v.codes_for(task.target)], np.intp)] = 1.0
         else:
             visits, target = rec.visits, np.array([1.0 if rec.mortality else 0.0])
         instances.append(TaskInstance(rec.patient_id, list(visits), rec.demographics_vector(),
@@ -194,7 +199,7 @@ class CatnetModel:
         inverted dropout mask is drawn from ``rng`` over all visit vectors.
         """
         cfg = self.config
-        if not 0.0 <= dropout < 1.0:
+        if not (_is_number(dropout) and 0.0 <= dropout < 1.0):
             raise ValueError(f"dropout must be in [0, 1), got {dropout!r}")
         drop_visits = train and dropout > 0.0
         if drop_visits and rng is None:
@@ -256,8 +261,12 @@ class CatnetModel:
         missing = set(params) ^ set(state)
         if missing:
             raise ValueError(f"parameter name mismatch: {sorted(missing)}")
-        arrays = {name: np.asarray(state[name], dtype=np.float64) for name in params}
+        arrays = {}
         for name, t in params.items():   # check every array before writing any
+            try:
+                arrays[name] = np.asarray(state[name], dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{name}: not an array of numbers: {exc}") from exc
             if arrays[name].shape != t.data.shape:
                 raise ValueError(f"{name}: shape {arrays[name].shape} != expected {t.data.shape}")
             if not np.isfinite(arrays[name]).all():

@@ -14,7 +14,7 @@ from catnet.cohort import (
     save_dataset,
     split_dataset,
 )
-from catnet.network import build_instances
+from catnet.network import CatnetModel, ModelConfig, build_instances
 
 
 def make_record(pid="p0", times=(0.0, 3.0, 10.0), mortality=False):
@@ -64,6 +64,40 @@ class TestRoundTrip:
         loaded, v = load_dataset(str(a), str(tmp_path / "va.json"))
         save_dataset(loaded, v, str(b), str(tmp_path / "vb.json"))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_loaded_values_kept_as_read(self, tmp_path):
+        """Integral-float codes, an integer time and an integer age load, re-save as read,
+        and predict the same bits as the canonical file."""
+        vocab = VocabSpec(med=4, diag=3, lab=2, proc=1)
+        records = make_cohort(12)
+        records[1] = make_record(pid="p1", times=(2.0, 3.0, 10.0))
+        canonical = tmp_path / "canonical.jsonl"
+        save_dataset(records, vocab, str(canonical), str(tmp_path / "vocab.json"))
+        lines = canonical.read_text().splitlines()
+        lines[1] = (lines[1].replace('"med":[0,2]', '"med":[0.0,2.0]')
+                    .replace('"diag":[1]', '"diag":[1.0]').replace('"time_days":2.0', '"time_days":2')
+                    .replace('"age_years":63.0', '"age_years":63'))
+        edited = tmp_path / "edited.jsonl"
+        edited.write_text("\n".join(lines) + "\n")
+
+        loaded, _ = load_dataset(str(edited), str(tmp_path / "vocab.json"))
+        rec = loaded[1]
+        assert type(rec.age_years) is int and type(rec.visits[0].time_days) is int
+        assert [type(c) for v in rec.visits for c in v.codes["med"] + v.codes["diag"]] == [float] * 9
+        assert type(rec.mortality) is int
+        resaved = tmp_path / "resaved.jsonl"
+        save_dataset(loaded, vocab, str(resaved), str(tmp_path / "vocab-resaved.json"))
+        assert resaved.read_bytes() == edited.read_bytes()
+
+        reference, _ = load_dataset(str(canonical), str(tmp_path / "vocab.json"))
+        for task in (TaskSpec("med"), TaskSpec("diag", mode="task-unaware"),
+                     TaskSpec("mortality", mode="task-unaware")):
+            model = CatnetModel(ModelConfig(task=task.target, mode=task.mode, embed_dim=3,
+                                            kernel_dim=2, hidden_dim=4, demo_dim=2),
+                                vocab, np.random.default_rng(5))
+            a, b = (build_instances(recs, task, vocab) for recs in (loaded, reference))
+            assert [x.target.tobytes() for x in a] == [x.target.tobytes() for x in b]
+            assert model.predict(a).tobytes() == model.predict(b).tobytes()
 
 
 class TestValidation:
@@ -313,6 +347,12 @@ class TestSplit:
         with pytest.raises(ValueError, match="at least 10"):
             split_dataset(list(range(9)), seed=0)
 
+    @pytest.mark.parametrize("seed", ["1", -1, 1.0, True, None])
+    def test_bad_seed_rejected_naming_it(self, seed):
+        with pytest.raises(ValueError, match="^split_dataset: seed must be a non-negative "
+                                             f"integer, got {re.escape(repr(seed))}$"):
+            split_dataset(list(range(20)), seed)
+
 
 def gaps(times, task=TaskSpec("mortality", mode="task-unaware")):
     """The gaps of the instance built from a record with visits at ``times``."""
@@ -390,6 +430,22 @@ class TestTaskInstances:
     def test_code_task_needs_two_visits(self, vocab, times):
         with pytest.raises(ValueError, match="^patient p0: an instance needs at least one visit$"):
             build_instances([make_record(times=times)], TaskSpec("med"), vocab)
+
+    def test_integral_float_target_code_marks_its_index(self, vocab):
+        rec = make_record(times=(0.0, 5.0, 9.0))
+        rec.visits[-1].codes["med"] = [1.0, 3]
+        inst, = build_instances([rec], TaskSpec("med"), vocab)
+        np.testing.assert_array_equal(inst.target, [0.0, 1.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("codes, shown", [([1.5], "non-integer med code 1.5"),
+                                              (["1"], "non-integer med code '1'"),
+                                              ([3, 1], "med codes must be sorted")],
+                             ids=["fraction", "string", "unsorted"])
+    def test_bad_target_code_rejected_naming_the_patient(self, vocab, codes, shown):
+        rec = make_record(times=(0.0, 5.0, 9.0))
+        rec.visits[-1].codes["med"] = codes
+        with pytest.raises(ValueError, match=f"^patient p0: {shown}"):
+            build_instances([rec], TaskSpec("med"), vocab)
 
     def test_mortality_forces_task_unaware(self):
         with pytest.raises(ValueError, match="task-unaware"):

@@ -221,3 +221,43 @@ def test_rule_codes_must_be_integers(field, value):
 def test_severe_codes_must_be_integers(code):
     with pytest.raises(ValueError, match=f"^severe code diag:{code!r} must be an integer$"):
         GenConfig(severe_codes=[("diag", 0), ("diag", code)])
+
+
+@pytest.mark.parametrize("value", ["14", "0.5", None, True], ids=["string", "fraction-string",
+                                                                  "none", "bool"])
+@pytest.mark.parametrize("field", ["continue_prob", "gap_log_mu", "gap_log_sigma",
+                                   "mortality_intercept", "mortality_weight"])
+def test_float_fields_that_are_not_numbers_rejected_naming_them(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a number, got {re.escape(repr(value))}$"):
+        dataclasses.replace(GenConfig.default(), **{field: value})
+
+
+@pytest.mark.parametrize("value", ["14", None, True], ids=["string", "none", "bool"])
+@pytest.mark.parametrize("field", ["boost", "halflife_days"])
+def test_rule_float_fields_that_are_not_numbers_rejected_naming_them(field, value):
+    rule = dict(trigger_type="diag", trigger_code=0, effect_type="med", effect_code=0,
+                boost=14.0, halflife_days=30.0)
+    with pytest.raises(ValueError, match=f"^rule {field} must be a number, "
+                                         f"got {re.escape(repr(value))}$"):
+        PlantedRule(**dict(rule, **{field: value}))
+
+
+@pytest.mark.parametrize("entry", ["0.1", True], ids=["string", "bool"])
+def test_prevalence_entries_that_are_not_numbers_rejected(entry):
+    with pytest.raises(ValueError, match=r"^base prevalence for med must be a list of values "
+                                         r"in \[0, 1\]$"):
+        GenConfig(base_prevalence=dict(GenConfig().base_prevalence, med=[0.1, entry]))
+
+
+@pytest.mark.parametrize("entry", [("diag",), ("diag", 0, 1), "diag0", None],
+                         ids=["short", "long", "string", "none"])
+def test_severe_codes_that_are_not_pairs_rejected(entry):
+    with pytest.raises(ValueError, match=r"^severe_codes must hold \(event type, code\) pairs, "
+                                         f"got {re.escape(repr(entry))}$"):
+        GenConfig(severe_codes=[("diag", 0), entry])
+
+
+def test_rules_that_are_not_planted_rules_rejected():
+    with pytest.raises(ValueError, match=r"^rules must hold PlantedRule entries, "
+                                         r"got \('diag', 0, 'med', 0\)$"):
+        GenConfig(rules=[("diag", 0, "med", 0)])

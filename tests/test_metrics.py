@@ -226,3 +226,10 @@ def test_labels_other_than_0_and_1_rejected(name, call, bad):
 def test_every_metric_error_names_the_metric(name, call, rest):
     with pytest.raises(ValueError, match=f"^{name}: {rest}$"):
         call()
+
+
+@pytest.mark.parametrize("k", ["2", 2.5, 2.0, True, None], ids=["string", "fraction", "float",
+                                                                "bool", "none"])
+def test_topk_recall_k_must_be_an_integer(k):
+    with pytest.raises(ValueError, match=f"^topk_recall: k must be an integer, got {k!r}$"):
+        topk_recall([[0.1, 0.2]], [[0, 1]], k)

@@ -247,6 +247,32 @@ def test_dropout_outside_unit_interval_rejected(dropout):
         model.forward_batch(instances, train=True, dropout=dropout, rng=np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("dropout", ["0.5", None, False], ids=["string", "none", "bool"])
+def test_dropout_that_is_not_a_number_rejected(dropout):
+    model, instances = build(tiny_config(), seed=4)
+    with pytest.raises(ValueError, match=rf"^dropout must be in \[0, 1\), got {dropout!r}$"):
+        model.forward_batch(instances, train=True, dropout=dropout, rng=np.random.default_rng(0))
+
+
+def test_demo_that_is_not_numbers_rejected_naming_the_patient():
+    _, instances = build(tiny_config())
+    with pytest.raises(ValueError, match="^patient c: demo must be finite numbers, got "):
+        dataclasses.replace(instances[2], demo=np.array(["0.7", "0", "1"]))
+
+
+@pytest.mark.parametrize("value", ["x", [[1.0], [2.0, 3.0]], {"a": 1.0}],
+                         ids=["string", "ragged", "dict"])
+def test_state_that_is_not_numbers_rejected_by_name(value):
+    model, instances = build(tiny_config(), seed=2)
+    before = model.predict(instances)
+    state = model.state_arrays()
+    state["emb"] = np.zeros_like(state["emb"])   # would load, but must not
+    state["out_b"] = value
+    with pytest.raises(ValueError, match="^out_b: not an array of numbers: "):
+        model.load_state_arrays(state)
+    np.testing.assert_array_equal(model.predict(instances), before)
+
+
 def test_empty_batch_rejected():
     model, _ = build(tiny_config())
     with pytest.raises(ValueError, match="forward_batch: empty batch"):
