@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from catnet import autodiff as ad
-from catnet.cohort import EVENT_TYPES, MODES, VocabSpec
+from catnet.cohort import EVENT_TYPES, VocabSpec
 
 _TOKEN_TYPES = EVENT_TYPES + ("time",)  # token type ids index this; padding is -1
 _TIME_ID = len(EVENT_TYPES)
@@ -145,12 +145,8 @@ class BatchAttention:
 
 def slot_bases(mode: str, primary: str, vocab: VocabSpec) -> np.ndarray:
     """Per token type id, the slot of its code 0 (-1: none); the interval token's slot is last."""
-    if mode not in MODES:
-        raise ValueError(f"unknown attention mode {mode!r}; expected one of {MODES}")
     if mode == "task-unaware":
         return vocab.offsets()
-    if primary not in EVENT_TYPES:
-        raise ValueError("task-aware attention requires a primary event type")
     return np.r_[[0 if etype == primary else -1 for etype in EVENT_TYPES], vocab.size(primary)]
 
 

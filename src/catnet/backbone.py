@@ -43,8 +43,6 @@ class RecurrentParams:
     @classmethod
     def init(cls, kind: str, input_dim: int, hidden_dim: int, rng: np.random.Generator):
         """Glorot-uniform maps drawn gate by gate, input map then state map; zero biases."""
-        if kind not in GATES:
-            raise ValueError(f"unknown backbone kind {kind!r}; expected one of {tuple(GATES)}")
         bound_w = np.sqrt(6.0 / (input_dim + hidden_dim))
         bound_u = np.sqrt(6.0 / (2 * hidden_dim))
         w, u = zip(*[(rng.uniform(-bound_w, bound_w, (hidden_dim, input_dim)),

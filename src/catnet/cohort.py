@@ -11,8 +11,9 @@ methods alone judge them, and a re-save writes them back as read.
 :func:`check_visits` holds the visit contract: each visit passes
 :meth:`Visit.validate`, and the visit times strictly increase.
 :meth:`PatientRecord.validate` (so :func:`load_dataset`) calls it with the
-vocabulary; ``network.TaskInstance`` calls it without one, and the model checks
-code ranges against its own vocabulary.
+vocabulary.  ``network.TaskInstance`` calls it without one and derives the gaps
+that the model's layers use unchecked; the model checks input code ranges against
+its own vocabulary, and ``network.build_instances`` a code task's target codes.
 """
 
 from __future__ import annotations
@@ -102,16 +103,20 @@ class Visit:
             if not all(map(operator.lt, lst, lst[1:])):
                 raise ValueError(
                     f"patient {owner}: {etype} codes must be sorted and duplicate-free")
-            if vocab is None:
-                continue
-            # Sorted, so only the ends can fall outside; name the first such code in the list.
-            size = vocab.size(etype)
-            if lst[0] < 0 or lst[-1] >= size:
-                c = lst[0] if lst[0] < 0 else lst[bisect.bisect_left(lst, size)]
-                raise ValueError(f"patient {owner}: {etype} code {c} outside vocab of size {size}")
+            if vocab is not None:
+                check_code_range(lst, etype, vocab.size(etype), owner)
 
     def codes_for(self, event_type: str):
         return self.codes.get(event_type, [])
+
+
+def check_code_range(codes, etype, size, owner):
+    """Raise an error naming patient ``owner`` and the first code of the sorted integer
+    list ``codes`` outside ``[0, size)``."""
+    # Sorted, so only the ends can fall outside; name the first such code in the list.
+    if codes and (codes[0] < 0 or codes[-1] >= size):
+        c = codes[0] if codes[0] < 0 else codes[bisect.bisect_left(codes, size)]
+        raise ValueError(f"patient {owner}: {etype} code {c} outside vocab of size {size}")
 
 
 def check_visits(visits, owner, vocab: VocabSpec = None):
@@ -168,10 +173,13 @@ class PatientRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PatientRecord":
-        """The record as parsed, with the patient id made a string; :meth:`validate` judges
-        the rest.  Mortality may be 0, 1, true or false."""
+        """The record as parsed, with the patient id (a non-empty string or an integer) made a
+        string; :meth:`validate` judges the rest.  Mortality may be 0, 1, true or false."""
+        pid = d["patient_id"]
+        if not (_is_integer(pid) or isinstance(pid, str) and pid):
+            raise ValueError(f"patient_id must be a non-empty string or an integer, got {pid!r}")
         demo = d["demographics"]
-        return cls(patient_id=str(d["patient_id"]), age_years=demo["age_years"], sex=demo["sex"],
+        return cls(patient_id=str(pid), age_years=demo["age_years"], sex=demo["sex"],
                    visits=[Visit(v["time_days"], v["codes"]) for v in d["visits"]],
                    mortality=d["mortality"])
 

@@ -39,7 +39,7 @@ from catnet.aggregate import HeadParams, fuse_and_predict, global_time_gate, vis
 from catnet.attention import attend, build_token_set, raw_slot_layout, slot_bases
 from catnet.backbone import GATES, RecurrentParams, run_sequence
 from catnet.cohort import (DEMOGRAPHICS_DIM, EVENT_TYPES, TaskSpec, VocabSpec, _is_integer,
-                           _is_number, check_visits)
+                           _is_number, check_code_range, check_visits)
 from catnet.time_kernel import TimeKernelParams, time_embed
 
 COMPONENT_DROPS = ("cross", "visit", "global")
@@ -104,8 +104,10 @@ class ModelConfig:
 class TaskInstance:
     """Model-ready view of one patient for one task; its gaps are derived from its visits.
 
-    The visits must keep :func:`~catnet.cohort.check_visits`'s contract.  Their
-    code ranges are not checked here: the model checks them against its vocabulary.
+    The visits must keep :func:`~catnet.cohort.check_visits`'s contract, so the
+    gaps are finite, ``delta_prev`` is >= 0 and ``delta_global`` starts at 0 and
+    rises; the layers rely on these gaps and do not check them again.  Code ranges
+    are not checked here: the model checks them against its vocabulary.
     """
 
     patient_id: str
@@ -141,16 +143,20 @@ class TaskInstance:
 def build_instances(records, task: TaskSpec, vocab: VocabSpec):
     """One instance per record, with the inputs and target that :class:`TaskSpec` describes.
 
-    A code task's last visit is checked as the inputs are, then its integral codes of
-    the target type (``1.0`` too) mark the target; mortality 1 or true makes ``[1.0]``.
+    A code task's last visit is checked as the inputs are and its codes of the target
+    type against the vocabulary, then they (``1.0`` too) mark the target; mortality 1 or
+    true makes ``[1.0]``.
     """
     instances = []
     for rec in records:
         if task.is_code_task:
             visits, last = rec.visits[:-1], rec.visits[-1:]   # no visits: TaskInstance rejects
             check_visits(last, rec.patient_id)
-            target = np.zeros(vocab.size(task.target))
-            target[np.array([c for v in last for c in v.codes_for(task.target)], np.intp)] = 1.0
+            codes = [c for v in last for c in v.codes_for(task.target)]
+            size = vocab.size(task.target)
+            check_code_range(codes, task.target, size, rec.patient_id)
+            target = np.zeros(size)
+            target[np.array(codes, np.intp)] = 1.0
         else:
             visits, target = rec.visits, np.array([1.0 if rec.mortality else 0.0])
         instances.append(TaskInstance(rec.patient_id, list(visits), rec.demographics_vector(),

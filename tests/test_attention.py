@@ -360,15 +360,6 @@ def test_task_unaware_slot_bases_are_the_flat_code_index():
                                       embeddings.data[offsets[EVENT_TYPES.index(etype)] + code])
 
 
-def test_slot_bases_reject_unknown_mode_and_missing_primary():
-    vocab = VocabSpec(med=2, diag=1, lab=1, proc=1)
-    with pytest.raises(ValueError, match="^unknown attention mode 'aware'"):
-        slot_bases("aware", "med", vocab)
-    for primary in (None, "mortality"):
-        with pytest.raises(ValueError, match="^task-aware attention requires a primary event type$"):
-            slot_bases("task-aware", primary, vocab)
-
-
 @pytest.mark.parametrize("codes, shown", [
     ({"med": [0, 2]}, "med code 2 outside vocab of size 2"),
     ({"med": [-1, 0]}, "med code -1 outside vocab of size 2"),

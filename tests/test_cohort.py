@@ -305,6 +305,21 @@ class TestValidation:
                                              r"first on line 1$"):
             load_dataset(str(data))
 
+    @pytest.mark.parametrize("value, shown", [
+        ("null", "None"), ("true", "True"), ('{"a":1}', "{'a': 1}"), ("[1]", r"\[1\]"),
+        ("1.5", "1.5"), ('""', "''"),
+    ], ids=["null", "bool", "object", "list", "fraction", "empty"])
+    def test_patient_id_that_is_not_an_id_rejected_on_load(self, tmp_path, vocab, value, shown):
+        data = tmp_path / "cohort.jsonl"
+        save_dataset(make_cohort(3), vocab, str(data))
+        lines = data.read_text().splitlines()
+        data.write_text("\n".join([lines[0], lines[1].replace('"p1"', "7"), lines[2]]) + "\n")
+        assert load_dataset(str(data))[0][1].patient_id == "7"   # integer ids load as strings
+        data.write_text("\n".join([lines[0], lines[1].replace('"p1"', value), lines[2]]) + "\n")
+        with pytest.raises(ValueError, match=r"cohort\.jsonl:2: malformed record: patient_id must "
+                                             rf"be a non-empty string or an integer, got {shown}$"):
+            load_dataset(str(data))
+
     BAD_MED_SIZE = "vocab size for med must be a non-negative integer, got "
 
     @pytest.mark.parametrize("text, shown", [
@@ -445,6 +460,14 @@ class TestTaskInstances:
         rec = make_record(times=(0.0, 5.0, 9.0))
         rec.visits[-1].codes["med"] = codes
         with pytest.raises(ValueError, match=f"^patient p0: {shown}"):
+            build_instances([rec], TaskSpec("med"), vocab)
+
+    @pytest.mark.parametrize("code", [-1, 9, 10**30], ids=["negative", "past-the-end", "huge"])
+    def test_target_code_outside_vocab_rejected_naming_the_patient(self, vocab, code):
+        rec = make_record(pid="q", times=(0.0, 5.0, 9.0))
+        rec.visits[-1].codes["med"] = [code]
+        with pytest.raises(ValueError, match=f"^patient q: med code {code} outside vocab "
+                                             "of size 4$"):
             build_instances([rec], TaskSpec("med"), vocab)
 
     def test_mortality_forces_task_unaware(self):

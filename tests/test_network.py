@@ -203,6 +203,19 @@ def test_non_finite_state_rejected_by_name():
     np.testing.assert_array_equal(model.predict(instances), before)
 
 
+@pytest.mark.parametrize("name", ["dt_b1", "gt_w2", "rnn_w"])
+def test_state_of_wrong_shape_rejected_by_name(name):
+    model, instances = build(tiny_config(), seed=2)
+    before = model.predict(instances)
+    state = model.state_arrays()
+    expected = state[name].shape
+    state[name] = state[name][..., :1]   # a length-1 axis would broadcast in the tape ops
+    with pytest.raises(ValueError, match=re.escape(f"{name}: shape {state[name].shape} != "
+                                                   f"expected {expected}")):
+        model.load_state_arrays(state)
+    np.testing.assert_array_equal(model.predict(instances), before)
+
+
 def test_forward_deterministic_given_seed():
     a, instances = build(tiny_config(), seed=11)
     b, _ = build(tiny_config(), seed=11)
@@ -304,6 +317,16 @@ def test_model_sizes_must_be_positive_integers(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be a positive integer, got "
                                          f"{re.escape(repr(value))}$"):
         tiny_config(**{field: value})
+
+
+@pytest.mark.parametrize("change, shown", [
+    ({"mode": "aware"}, "unknown attention mode 'aware'"),
+    ({"backbone": "rnn"}, "unsupported backbone 'rnn'"),
+    ({"task": "mortality"}, "mortality prediction has no primary event type"),
+], ids=["unknown-mode", "unknown-backbone", "task-aware-mortality"])
+def test_model_config_rejects_unknown_mode_backbone_and_primary(change, shown):
+    with pytest.raises(ValueError, match=f"^{shown}"):
+        tiny_config(**change)
 
 
 def test_numpy_integer_model_sizes_accepted():
