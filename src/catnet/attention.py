@@ -41,7 +41,6 @@ import numpy as np
 from catnet import autodiff as ad
 from catnet.cohort import EVENT_TYPES, VocabSpec
 
-_TOKEN_TYPES = EVENT_TYPES + ("time",)  # token type ids index this; padding is -1
 _TIME_ID = len(EVENT_TYPES)
 
 
@@ -61,10 +60,6 @@ class TokenBatch:
     def n_tokens(self) -> int:
         """Present tokens over all visits, interval tokens included."""
         return int(np.count_nonzero(self.type_ids >= 0))
-
-    def meta(self, v: int) -> list:
-        """``(event type, code)`` of visit v's present tokens, in order."""
-        return [(_TOKEN_TYPES[t], int(c)) for t, c in zip(self.type_ids[v], self.codes[v]) if t >= 0]
 
 
 def build_token_set(visits, embeddings: ad.Tensor, interval_tokens: ad.Tensor,
@@ -110,37 +105,19 @@ def build_token_set(visits, embeddings: ad.Tensor, interval_tokens: ad.Tensor,
 
 
 @dataclass
-class AttentionRecord:
-    """Attention weights of one visit with the (event type, code) of each query and key."""
-
-    weights: np.ndarray
-    query_meta: list
-    key_meta: list
-
-
-@dataclass
 class BatchAttention:
     """Cross-event attention weights of a batch of visits, still padded.
 
-    ``queries[v, j]`` is the token position of visit v's j-th query, in token
-    order, and -1 past its last query; ``query_weights[v, j, k]`` is the
-    weight that query gives token k (padding rows and columns included).
+    Read visit v as a table: query row j is token ``queries[v, j]`` (queries in
+    token order, -1 past the last), and ``query_weights[v, j, k]`` is the weight
+    that row gives key column k, labelled by ``tokens.type_ids[v, k]`` and
+    ``tokens.codes[v, k]``.  Type id ``len(EVENT_TYPES)`` is the interval token and
+    -1 padding; padding columns get weight 0.
     """
 
     tokens: TokenBatch
     query_weights: np.ndarray
     queries: np.ndarray
-
-    def records(self) -> list:
-        """One :class:`AttentionRecord` per visit, query rows by present key columns."""
-        out = []
-        for v, row in enumerate(self.queries):
-            meta = self.tokens.meta(v)
-            queries = row[row >= 0]
-            out.append(AttentionRecord(
-                weights=self.query_weights[v, :len(queries), :len(meta)],
-                query_meta=[meta[q] for q in queries], key_meta=meta))
-        return out
 
 
 def slot_bases(mode: str, primary: str, vocab: VocabSpec) -> np.ndarray:

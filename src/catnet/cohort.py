@@ -1,4 +1,4 @@
-"""Patient records, vocabularies, tasks, and dataset handling.
+"""Patient records, vocabularies, and dataset handling.
 
 A cohort is a JSONL file (one patient per line) plus a ``vocab.json`` sidecar
 giving the per-event-type code counts.  Records are treated as immutable after
@@ -29,8 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 EVENT_TYPES = ("med", "diag", "lab", "proc")
-TASKS = EVENT_TYPES + ("mortality",)
-MODES = ("task-aware", "task-unaware")
 DEMOGRAPHICS_DIM = 3  # width of PatientRecord.demographics_vector
 
 
@@ -204,37 +202,6 @@ def _as_number(x, pid, field) -> float:
 def _is_code(c) -> bool:
     """True for a finite integral number that is not a bool."""
     return type(c) is int or (_is_number(c) and math.isfinite(c) and int(c) == c)
-
-
-@dataclass
-class TaskSpec:
-    """Prediction target and attention mode.
-
-    Code targets read the label from the final visit's multi-hot of the target
-    type (inputs are all earlier visits); the mortality target is the record's
-    flag (inputs are all visits).
-    """
-
-    target: str
-    mode: str = "task-aware"
-
-    def __post_init__(self):
-        if self.target not in TASKS:
-            raise ValueError(f"unknown task target {self.target!r}; expected one of {TASKS}")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown attention mode {self.mode!r}; expected one of {MODES}")
-        if self.target == "mortality" and self.mode == "task-aware":
-            raise ValueError("mortality prediction has no primary event type; "
-                             "mode must be task-unaware")
-
-    @property
-    def is_code_task(self) -> bool:
-        return self.target != "mortality"
-
-    def target_dim(self, vocab: VocabSpec) -> int:
-        if self.is_code_task and vocab.size(self.target) == 0:
-            raise ValueError(f"task {self.target!r} has no codes in the vocabulary")
-        return vocab.size(self.target) if self.is_code_task else 1
 
 
 # ---------------------------------------------------------------------------

@@ -38,10 +38,12 @@ from catnet import autodiff as ad
 from catnet.aggregate import HeadParams, fuse_and_predict, global_time_gate, visit_self_attention
 from catnet.attention import attend, build_token_set, raw_slot_layout, slot_bases
 from catnet.backbone import GATES, RecurrentParams, run_sequence
-from catnet.cohort import (DEMOGRAPHICS_DIM, EVENT_TYPES, TaskSpec, VocabSpec, _is_integer,
-                           _is_number, check_code_range, check_visits)
+from catnet.cohort import (DEMOGRAPHICS_DIM, EVENT_TYPES, VocabSpec, _is_integer, _is_number,
+                           check_code_range, check_visits)
 from catnet.time_kernel import TimeKernelParams, time_embed
 
+TASKS = EVENT_TYPES + ("mortality",)
+MODES = ("task-aware", "task-unaware")
 COMPONENT_DROPS = ("cross", "visit", "global")
 EVENT_DROPS = EVENT_TYPES + ("time", "aux")
 TIME_SCALE_DAYS = 30.0  # gaps enter both time kernels in units of this many days
@@ -65,7 +67,8 @@ def resolve_drops(names, task: str):
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture-defining settings."""
+    """Architecture-defining settings.  ``task`` is an event type or ``"mortality"``;
+    task-aware attention queries with the task type's tokens, task-unaware with all."""
 
     task: str = "med"
     mode: str = "task-aware"
@@ -77,7 +80,13 @@ class ModelConfig:
     drops: tuple = ()
 
     def __post_init__(self):
-        TaskSpec(self.task, self.mode)  # validates task/mode pairing
+        if self.task not in TASKS:
+            raise ValueError(f"unknown task target {self.task!r}; expected one of {TASKS}")
+        if self.mode not in MODES:
+            raise ValueError(f"unknown attention mode {self.mode!r}; expected one of {MODES}")
+        if self.task == "mortality" and self.mode == "task-aware":
+            raise ValueError("mortality prediction has no primary event type; "
+                             "mode must be task-unaware")
         if self.backbone not in GATES:
             raise ValueError(f"unsupported backbone {self.backbone!r}; "
                              f"expected one of {tuple(GATES)}")
@@ -90,8 +99,10 @@ class ModelConfig:
             raise ValueError(f"drops {self.drops} leave task {self.task!r} no visible event type")
 
     @property
-    def task_spec(self) -> TaskSpec:
-        return TaskSpec(self.task, self.mode)
+    def task_spec(self) -> str:
+        """``task``, for the benchmark harness (``bench/workloads.py``), which passes it to
+        :func:`build_instances`."""
+        return self.task
 
     def dropped_types(self):
         dropped = set(t for t in self.drops if t in EVENT_TYPES)
@@ -100,14 +111,15 @@ class ModelConfig:
         return dropped
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaskInstance:
     """Model-ready view of one patient for one task; its gaps are derived from its visits.
 
     The visits must keep :func:`~catnet.cohort.check_visits`'s contract, so the
     gaps are finite, ``delta_prev`` is >= 0 and ``delta_global`` starts at 0 and
     rises; the layers rely on these gaps and do not check them again.  Code ranges
-    are not checked here: the model checks them against its vocabulary.
+    are not checked here: the model checks them against its vocabulary.  Fields
+    cannot be reassigned; :func:`dataclasses.replace` checks and derives anew.
     """
 
     patient_id: str
@@ -123,8 +135,8 @@ class TaskInstance:
             raise ValueError(f"patient {pid}: an instance needs at least one visit")
         check_visits(self.visits, pid)
         t = np.array([v.time_days for v in self.visits], dtype=np.float64)
-        self.delta_prev = np.concatenate(([0.0], t[1:] - t[:-1]))
-        self.delta_global = t - t[0]
+        object.__setattr__(self, "delta_prev", np.concatenate(([0.0], t[1:] - t[:-1])))
+        object.__setattr__(self, "delta_global", t - t[0])
         self._check_shapes(demo=(DEMOGRAPHICS_DIM,))
         if np.asarray(self.demo).dtype.kind not in "biuf" or not np.isfinite(self.demo).all():
             raise ValueError(f"patient {pid}: demo must be finite numbers, got {self.demo!r}")
@@ -140,21 +152,25 @@ class TaskInstance:
                                  f"{np.shape(getattr(self, name))}, expected {shape}")
 
 
-def build_instances(records, task: TaskSpec, vocab: VocabSpec):
-    """One instance per record, with the inputs and target that :class:`TaskSpec` describes.
+def build_instances(records, task: str, vocab: VocabSpec):
+    """One instance per record for ``task``, an event type or ``"mortality"``.
 
-    A code task's last visit is checked as the inputs are and its codes of the target
-    type against the vocabulary, then they (``1.0`` too) mark the target; mortality 1 or
-    true makes ``[1.0]``.
+    A code task's inputs are all visits but the last, and its target is the last visit's
+    multi-hot of the task's event type: that visit is checked as the inputs are and its
+    codes of that type against the vocabulary, then they (``1.0`` too) mark the target.
+    Mortality's inputs are all visits and its target the record's flag: 1 or true makes
+    ``[1.0]``.
     """
+    if task not in TASKS:
+        raise ValueError(f"unknown task target {task!r}; expected one of {TASKS}")
     instances = []
     for rec in records:
-        if task.is_code_task:
+        if task != "mortality":
             visits, last = rec.visits[:-1], rec.visits[-1:]   # no visits: TaskInstance rejects
             check_visits(last, rec.patient_id)
-            codes = [c for v in last for c in v.codes_for(task.target)]
-            size = vocab.size(task.target)
-            check_code_range(codes, task.target, size, rec.patient_id)
+            codes = [c for v in last for c in v.codes_for(task)]
+            size = vocab.size(task)
+            check_code_range(codes, task, size, rec.patient_id)
             target = np.zeros(size)
             target[np.array(codes, np.intp)] = 1.0
         else:
@@ -170,7 +186,9 @@ class CatnetModel:
     def __init__(self, config: ModelConfig, vocab: VocabSpec, rng: np.random.Generator):
         self.config = config
         self.vocab = vocab
-        self.n_targets = config.task_spec.target_dim(vocab)
+        self.n_targets = 1 if config.task == "mortality" else vocab.size(config.task)
+        if self.n_targets == 0:
+            raise ValueError(f"task {config.task!r} has no codes in the vocabulary")
         self.slot_bases = slot_bases(config.mode, config.task, vocab)
         self.input_width = int(self.slot_bases[-1] + 1) * config.embed_dim
         self.emb = ad.parameter(rng.uniform(-0.1, 0.1, (vocab.total(), config.embed_dim)))

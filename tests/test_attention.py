@@ -31,9 +31,9 @@ def build_token_set(visit, embeddings, interval, vocab):
 
 
 def attend(tokens, mode, primary=None, vocab=None):
-    """The one visit's vector (a 1-D tensor) and its attention record."""
+    """The one visit's vector (a 1-D tensor) and its ``(Q, K)`` attention weights."""
     vectors, attention = attend_batch(tokens, slot_bases(mode, primary, vocab))
-    return ad.take_row(vectors, 0), attention.records()[0]
+    return ad.take_row(vectors, 0), attention.query_weights[0]
 
 
 def raw_slot_layout(tokens, mode, primary, vocab):
@@ -116,18 +116,18 @@ def test_identical_embeddings_attend_uniformly():
     shared = block(embeddings, vocab, "med")[0].copy()
     visit = Visit(time_days=0.0, codes={"med": [0], "diag": [], "lab": [], "proc": []})
     tokens = build_token_set(visit, embeddings, ad.tensor(shared), vocab)
-    _, rec = attend(tokens, "task-unaware", vocab=vocab)
-    np.testing.assert_allclose(rec.weights, 0.5, atol=1e-15)
+    _, weights = attend(tokens, "task-unaware", vocab=vocab)
+    np.testing.assert_allclose(weights, 0.5, atol=1e-15)
 
 
 def test_modes_coincide_without_auxiliary_vocab():
     vocab = VocabSpec(med=5, diag=0, lab=0, proc=0)
     codes = {"med": [0, 2, 4], "diag": [], "lab": [], "proc": []}
     embeddings, tokens = make_case(vocab, codes, seed=5)
-    aware, rec_a = attend(tokens, "task-aware", primary="med", vocab=vocab)
-    unaware, rec_u = attend(tokens, "task-unaware", vocab=vocab)
+    aware, weights_a = attend(tokens, "task-aware", primary="med", vocab=vocab)
+    unaware, weights_u = attend(tokens, "task-unaware", vocab=vocab)
     np.testing.assert_array_equal(aware.data, unaware.data)
-    np.testing.assert_array_equal(rec_a.weights, rec_u.weights)
+    np.testing.assert_array_equal(weights_a, weights_u)
 
 
 def test_three_tokens_match_brute_force():
@@ -139,11 +139,11 @@ def test_three_tokens_match_brute_force():
     interval = ad.tensor([0.05, -0.3, 0.2, 0.4])
     tokens = build_token_set(visit, embeddings, interval, vocab)
 
-    o_t, rec = attend(tokens, "task-unaware", vocab=vocab)
+    o_t, weights = attend(tokens, "task-unaware", vocab=vocab)
     embs = [embeddings.data[0], embeddings.data[2 + 1], interval.data]
-    outs, weights = brute_force(embs, [0, 1, 2])
+    outs, expected = brute_force(embs, [0, 1, 2])
 
-    np.testing.assert_allclose(rec.weights, weights, rtol=1e-12)
+    np.testing.assert_allclose(weights, expected, rtol=1e-12)
     slots = o_t.data.reshape(-1, embed_dim)
     np.testing.assert_allclose(slots[0], outs[0], rtol=1e-12)       # med 0
     np.testing.assert_allclose(slots[2 + 1], outs[1], rtol=1e-12)   # diag 1
@@ -162,24 +162,24 @@ def test_rows_stochastic_and_layout_widths():
                  for etype in ("med", "diag", "lab", "proc")}
         embeddings, tokens = make_case(vocab, codes, seed=trial)
         mode = "task-aware" if trial % 2 == 0 else "task-unaware"
-        o_t, rec = attend(tokens, mode, primary="med", vocab=vocab)
+        o_t, weights = attend(tokens, mode, primary="med", vocab=vocab)
         assert o_t.shape == (((vocab.size("med") if mode == "task-aware" else vocab.total()) + 1) * 4,)
-        assert np.all(np.abs(rec.weights.sum(axis=1) - 1.0) <= 1e-9)
+        assert np.all(np.abs(weights.sum(axis=1) - 1.0) <= 1e-9)
 
 
 def test_absent_code_neutrality_is_bitwise():
     vocab = VocabSpec(med=3, diag=2, lab=0, proc=0)
     codes = {"med": [0, 2], "diag": [1], "lab": [], "proc": []}
     embeddings, tokens = make_case(vocab, codes, seed=9)
-    base, base_rec = attend(tokens, "task-unaware", vocab=vocab)
+    base, base_weights = attend(tokens, "task-unaware", vocab=vocab)
 
     bigger = VocabSpec(med=4, diag=2, lab=0, proc=0)
     extended = ad.parameter(np.insert(embeddings.data, vocab.offsets()[1], 9.0, axis=0))
     visit = Visit(time_days=0.0, codes=codes)
     tokens2 = build_token_set(visit, extended, ad.tensor(interval_of(tokens)), bigger)
-    grown, grown_rec = attend(tokens2, "task-unaware", vocab=bigger)
+    grown, grown_weights = attend(tokens2, "task-unaware", vocab=bigger)
 
-    np.testing.assert_array_equal(base_rec.weights, grown_rec.weights)
+    assert grown_weights.tobytes() == base_weights.tobytes()
     base_slots = base.data.reshape(-1, 4)
     grown_slots = grown.data.reshape(-1, 4)
     # slots: med block grows by one (all-zero) row; others shift by one
@@ -203,16 +203,16 @@ def test_within_type_permutation_equivariance_exact():
         tokens_p = build_token_set(Visit(time_days=0.0, codes=permuted_codes),
                                    permuted_emb, ad.tensor(interval_of(tokens)), vocab)
 
-        base_o, base_rec = attend(tokens, "task-unaware", vocab=vocab)
-        perm_o, perm_rec = attend(tokens_p, "task-unaware", vocab=vocab)
+        base_o, base_att = attend_batch(tokens, slot_bases("task-unaware", None, vocab))
+        perm_o, perm_att = attend_batch(tokens_p, slot_bases("task-unaware", None, vocab))
 
-        base_w = {(q, k): w for q, row in zip(base_rec.query_meta, base_rec.weights)
-                  for k, w in zip(base_rec.key_meta, row)}
-        relabel = lambda m: ("diag", int(perm[m[1]])) if m[0] == "diag" else m
-        for (q, k), w in base_w.items():
-            pw = {(qq, kk): ww for qq, row in zip(perm_rec.query_meta, perm_rec.weights)
-                  for kk, ww in zip(perm_rec.key_meta, row)}[(relabel(q), relabel(k))]
-            assert w == pw
+        # tokens within a type keep their byte order, so every position and bit is kept
+        assert perm_att.query_weights.tobytes() == base_att.query_weights.tobytes()
+        assert perm_att.queries.tobytes() == base_att.queries.tobytes()
+        assert tokens_p.type_ids.tobytes() == tokens.type_ids.tobytes()
+        diag = tokens.type_ids == EVENT_TYPES.index("diag")
+        np.testing.assert_array_equal(tokens_p.codes, np.where(diag, perm[tokens.codes * diag],
+                                                               tokens.codes))
 
         base_slots = base_o.data.reshape(-1, 4)
         perm_slots = perm_o.data.reshape(-1, 4)
@@ -243,15 +243,16 @@ def test_within_type_permutation_equivariance_batched_task_aware():
                                       bases)
         perm, perm_att = attend_batch(build_token_batch(relabelled, permuted_emb, intervals,
                                                         vocab), bases)
-        assert len({len(rec.key_meta) for rec in base_att.records()}) > 1
+        type_ids, codes = base_att.tokens.type_ids, base_att.tokens.codes
+        assert len(set((type_ids >= 0).sum(axis=1))) > 1
 
-        relabel = lambda m: (m[0], int(perms[m[0]][m[1]])) if m[0] in perms else m
-        for rec, perm_rec in zip(base_att.records(), perm_att.records()):
-            perm_w = {(q, k): w for q, row in zip(perm_rec.query_meta, perm_rec.weights)
-                      for k, w in zip(perm_rec.key_meta, row)}
-            for q, row in zip(rec.query_meta, rec.weights):
-                for k, w in zip(rec.key_meta, row):
-                    assert w == perm_w[relabel(q), relabel(k)]
+        assert perm_att.query_weights.tobytes() == base_att.query_weights.tobytes()
+        assert perm_att.queries.tobytes() == base_att.queries.tobytes()
+        assert perm_att.tokens.type_ids.tobytes() == type_ids.tobytes()
+        relabelled_codes = codes.copy()
+        for tid, etype in enumerate(EVENT_TYPES):
+            relabelled_codes[type_ids == tid] = perms[etype][codes[type_ids == tid]]
+        np.testing.assert_array_equal(perm_att.tokens.codes, relabelled_codes)
 
         base_slots = base.data.reshape(len(visits), -1, 4)
         perm_slots = perm.data.reshape(len(visits), -1, 4)
@@ -283,8 +284,8 @@ def test_empty_visit_attends_to_interval_alone():
     embeddings = init_table(vocab, 4, np.random.default_rng(2))
     interval = ad.tensor([0.1, 0.2, -0.3, 0.4])
     tokens = build_token_set(visit, embeddings, interval, vocab)
-    o_t, rec = attend(tokens, "task-aware", primary="med", vocab=vocab)
-    np.testing.assert_array_equal(rec.weights, [[1.0]])
+    o_t, weights = attend(tokens, "task-aware", primary="med", vocab=vocab)
+    np.testing.assert_array_equal(weights, [[1.0]])
     slots = o_t.data.reshape(-1, 4)
     np.testing.assert_array_equal(slots[:2], 0.0)
     np.testing.assert_allclose(slots[2], 2.0 * interval.data, rtol=1e-15)
@@ -300,14 +301,20 @@ def test_visits_in_a_batch_match_each_alone_bitwise():
     intervals = rng.uniform(-0.1, 0.1, (len(visits), 4))
     for mode in ("task-aware", "task-unaware"):
         tokens = build_token_batch(visits, embeddings, ad.tensor(intervals), vocab)
-        vectors, attention = attend_batch(tokens, slot_bases(mode, "med", vocab))
-        assert tokens.n_tokens == sum(len(r.key_meta) for r in attention.records())
-        for v, (visit, record) in enumerate(zip(visits, attention.records())):
-            alone, alone_rec = attend(build_token_set(visit, embeddings, ad.tensor(intervals[v]),
-                                                      vocab), mode, primary="med", vocab=vocab)
-            np.testing.assert_array_equal(vectors.data[v], alone.data)
-            np.testing.assert_array_equal(record.weights, alone_rec.weights)
-            assert record.query_meta == alone_rec.query_meta
+        bases = slot_bases(mode, "med", vocab)
+        vectors, attention = attend_batch(tokens, bases)
+        for v, visit in enumerate(visits):
+            alone_tokens = build_token_set(visit, embeddings, ad.tensor(intervals[v]), vocab)
+            alone, alone_att = attend_batch(alone_tokens, bases)
+            (n_queries, n_keys), queries = alone_att.query_weights.shape[1:], alone_att.queries[0]
+            np.testing.assert_array_equal(vectors.data[v], alone.data[0])
+            assert (attention.query_weights[v, :n_queries, :n_keys].tobytes()
+                    == alone_att.query_weights[0].tobytes())
+            assert not attention.query_weights[v, :n_queries, n_keys:].any()
+            assert attention.queries[v].tolist() == queries.tolist() + [-1] * (
+                attention.queries.shape[1] - n_queries)
+            assert tokens.type_ids[v, :n_keys].tolist() == alone_tokens.type_ids[0].tolist()
+            assert tokens.codes[v, :n_keys].tolist() == alone_tokens.codes[0].tolist()
 
 
 def test_task_aware_queries_equal_their_task_unaware_rows_bitwise():
@@ -321,10 +328,14 @@ def test_task_aware_queries_equal_their_task_unaware_rows_bitwise():
                                vocab)
     aware, aware_att = attend_batch(tokens, slot_bases("task-aware", "med", vocab))
     unaware, unaware_att = attend_batch(tokens, slot_bases("task-unaware", None, vocab))
-    for rec_a, rec_u in zip(aware_att.records(), unaware_att.records()):
-        rows = [j for j, (etype, _) in enumerate(rec_u.query_meta) if etype in ("med", "time")]
-        assert rec_a.query_meta == [rec_u.query_meta[j] for j in rows]
-        np.testing.assert_array_equal(rec_a.weights, rec_u.weights[rows])
+    for v, type_ids in enumerate(tokens.type_ids):
+        # every present token queries in task-unaware mode, so its row j is token j
+        rows = np.flatnonzero(np.isin(type_ids, [0, len(EVENT_TYPES)]))   # med and interval
+        n_tokens = np.count_nonzero(type_ids >= 0)
+        assert unaware_att.queries[v, :n_tokens].tolist() == list(range(n_tokens))
+        assert aware_att.queries[v, :len(rows)].tolist() == rows.tolist()
+        assert (aware_att.query_weights[v, :len(rows)].tobytes()
+                == unaware_att.query_weights[v, rows].tobytes())
     aware_slots = aware.data.reshape(6, -1, 4)
     unaware_slots = unaware.data.reshape(6, -1, 4)
     np.testing.assert_array_equal(aware_slots[:, :6], unaware_slots[:, :6])   # med block
@@ -355,9 +366,11 @@ def test_task_unaware_slot_bases_are_the_flat_code_index():
     embeddings = init_table(vocab, 4, rng)
     visit = Visit(0.0, {"med": [0, 5], "diag": [2, 4], "lab": [], "proc": [0, 2]})
     tokens = build_token_set(visit, embeddings, ad.tensor(rng.uniform(-0.1, 0.1, 4)), vocab)
-    for k, (etype, code) in enumerate(tokens.meta(0)[:-1]):
-        np.testing.assert_array_equal(tokens.values.data[0, k],
-                                      embeddings.data[offsets[EVENT_TYPES.index(etype)] + code])
+    codes = tokens.type_ids[0] < len(EVENT_TYPES)                  # no interval token here
+    assert codes.sum() == 6
+    np.testing.assert_array_equal(tokens.values.data[0, codes],
+                                  embeddings.data[offsets[tokens.type_ids[0, codes]]
+                                                  + tokens.codes[0, codes]])
 
 
 @pytest.mark.parametrize("codes, shown", [

@@ -6,7 +6,6 @@ import pytest
 
 from catnet.cohort import (
     PatientRecord,
-    TaskSpec,
     Visit,
     VocabSpec,
     load_dataset,
@@ -90,9 +89,9 @@ class TestRoundTrip:
         assert resaved.read_bytes() == edited.read_bytes()
 
         reference, _ = load_dataset(str(canonical), str(tmp_path / "vocab.json"))
-        for task in (TaskSpec("med"), TaskSpec("diag", mode="task-unaware"),
-                     TaskSpec("mortality", mode="task-unaware")):
-            model = CatnetModel(ModelConfig(task=task.target, mode=task.mode, embed_dim=3,
+        for task, mode in (("med", "task-aware"), ("diag", "task-unaware"),
+                           ("mortality", "task-unaware")):
+            model = CatnetModel(ModelConfig(task=task, mode=mode, embed_dim=3,
                                             kernel_dim=2, hidden_dim=4, demo_dim=2),
                                 vocab, np.random.default_rng(5))
             a, b = (build_instances(recs, task, vocab) for recs in (loaded, reference))
@@ -369,7 +368,7 @@ class TestSplit:
             split_dataset(list(range(20)), seed)
 
 
-def gaps(times, task=TaskSpec("mortality", mode="task-unaware")):
+def gaps(times, task="mortality"):
     """The gaps of the instance built from a record with visits at ``times``."""
     vocab = VocabSpec(med=4, diag=3, lab=2, proc=1)
     inst, = build_instances([make_record(times=times)], task, vocab)
@@ -381,7 +380,7 @@ class TestIntervals:
         delta_prev, delta_global = gaps((0.0, 3.0, 10.0))
         np.testing.assert_array_equal(delta_prev, [0.0, 3.0, 7.0])
         np.testing.assert_array_equal(delta_global, [0.0, 3.0, 10.0])
-        delta_prev, delta_global = gaps((0.0, 3.0, 10.0), TaskSpec("med"))
+        delta_prev, delta_global = gaps((0.0, 3.0, 10.0), "med")
         np.testing.assert_array_equal(delta_prev, [0.0, 3.0])
         np.testing.assert_array_equal(delta_global, [0.0, 3.0])
 
@@ -404,8 +403,7 @@ class TestIntervals:
         for n in (1, 2, 3, 7, 40):
             for scale in (0.01, 1.0, 1e4):
                 times = np.cumsum(rng.uniform(0.05, 30.0, n + 1) * scale) + rng.uniform(0, 1e3)
-                for task, t in ((TaskSpec("mortality", mode="task-unaware"), times),
-                                (TaskSpec("med"), times[:-1])):
+                for task, t in (("mortality", times), ("med", times[:-1])):
                     delta_prev, delta_global = gaps(tuple(times.tolist()), task)
                     assert delta_prev.tobytes() == np.diff(t, prepend=t[0]).tobytes()
                     assert delta_global.tobytes() == (t - t[0]).tobytes()
@@ -425,31 +423,30 @@ class TestTaskInstances:
     def test_medication_task_uses_final_visit_label(self, vocab):
         rec = make_record(times=(0.0, 5.0, 9.0))
         rec.visits[-1].codes["med"] = [1, 3]
-        inst, = build_instances([rec], TaskSpec("med"), vocab)
+        inst, = build_instances([rec], "med", vocab)
         assert inst.visits == rec.visits[:2]
         np.testing.assert_array_equal(inst.target, [0.0, 1.0, 0.0, 1.0])
 
     def test_mortality_uses_all_visits(self, vocab):
         rec = make_record(mortality=True)
-        task = TaskSpec("mortality", mode="task-unaware")
-        inst, = build_instances([rec], task, vocab)
+        inst, = build_instances([rec], "mortality", vocab)
         assert inst.visits == rec.visits
         np.testing.assert_array_equal(inst.target, [1.0])
 
     def test_target_length_matches_vocab(self):
         vocab = VocabSpec(med=346, diag=1, lab=1, proc=1)
-        inst, = build_instances([make_record()], TaskSpec("med"), vocab)
+        inst, = build_instances([make_record()], "med", vocab)
         assert inst.target.shape == (346,)
 
     @pytest.mark.parametrize("times", [(4.0,), ()], ids=["one-visit", "no-visits"])
     def test_code_task_needs_two_visits(self, vocab, times):
         with pytest.raises(ValueError, match="^patient p0: an instance needs at least one visit$"):
-            build_instances([make_record(times=times)], TaskSpec("med"), vocab)
+            build_instances([make_record(times=times)], "med", vocab)
 
     def test_integral_float_target_code_marks_its_index(self, vocab):
         rec = make_record(times=(0.0, 5.0, 9.0))
         rec.visits[-1].codes["med"] = [1.0, 3]
-        inst, = build_instances([rec], TaskSpec("med"), vocab)
+        inst, = build_instances([rec], "med", vocab)
         np.testing.assert_array_equal(inst.target, [0.0, 1.0, 0.0, 1.0])
 
     @pytest.mark.parametrize("codes, shown", [([1.5], "non-integer med code 1.5"),
@@ -460,7 +457,7 @@ class TestTaskInstances:
         rec = make_record(times=(0.0, 5.0, 9.0))
         rec.visits[-1].codes["med"] = codes
         with pytest.raises(ValueError, match=f"^patient p0: {shown}"):
-            build_instances([rec], TaskSpec("med"), vocab)
+            build_instances([rec], "med", vocab)
 
     @pytest.mark.parametrize("code", [-1, 9, 10**30], ids=["negative", "past-the-end", "huge"])
     def test_target_code_outside_vocab_rejected_naming_the_patient(self, vocab, code):
@@ -468,12 +465,8 @@ class TestTaskInstances:
         rec.visits[-1].codes["med"] = [code]
         with pytest.raises(ValueError, match=f"^patient q: med code {code} outside vocab "
                                              "of size 4$"):
-            build_instances([rec], TaskSpec("med"), vocab)
+            build_instances([rec], "med", vocab)
 
-    def test_mortality_forces_task_unaware(self):
-        with pytest.raises(ValueError, match="task-unaware"):
-            TaskSpec("mortality", mode="task-aware")
-
-    def test_unknown_target_rejected(self):
-        with pytest.raises(ValueError, match="unknown task target"):
-            TaskSpec("surgery")
+    def test_unknown_task_rejected_naming_it(self, vocab):
+        with pytest.raises(ValueError, match="^unknown task target 'surgery'; expected one of "):
+            build_instances([make_record()], "surgery", vocab)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from catnet import autodiff as ad
-from catnet.cohort import PatientRecord, TaskSpec, Visit, VocabSpec
+from catnet.cohort import EVENT_TYPES, PatientRecord, Visit, VocabSpec
 from catnet.network import CatnetModel, ModelConfig, TaskInstance, build_instances, resolve_drops
 from gradcheck import central_difference, max_relative_error
 
@@ -54,8 +54,7 @@ def tiny_config(**kw):
 def build(config, seed=0):
     vocab = tiny_vocab()
     model = CatnetModel(config, vocab, np.random.default_rng(seed))
-    task = config.task_spec
-    instances = build_instances(tiny_records(), task, vocab)
+    instances = build_instances(tiny_records(), config.task, vocab)
     return model, instances
 
 
@@ -95,7 +94,7 @@ def test_modes_identical_when_auxiliary_vocabs_empty():
     unaware = CatnetModel(unaware_cfg, vocab, np.random.default_rng(5))
     unaware.load_state_arrays(aware.state_arrays())
 
-    instances = build_instances(records, TaskSpec("med", "task-aware"), vocab)
+    instances = build_instances(records, "med", vocab)
     pa = aware.predict(instances)
     pu = unaware.predict(instances)
     assert np.max(np.abs(pa - pu)) <= 1e-12
@@ -103,8 +102,6 @@ def test_modes_identical_when_auxiliary_vocabs_empty():
 
 def test_code_task_without_codes_rejected():
     vocab = VocabSpec(med=0, diag=3, lab=1, proc=1)
-    with pytest.raises(ValueError, match="task 'med' has no codes in the vocabulary"):
-        TaskSpec("med").target_dim(vocab)
     with pytest.raises(ValueError, match="task 'med' has no codes in the vocabulary"):
         CatnetModel(tiny_config(), vocab, np.random.default_rng(0))
 
@@ -183,6 +180,16 @@ def test_instance_gaps_derived_from_its_visits():
     assert shorter.delta_global.tolist() == [0.0, 1.5]
     with pytest.raises(TypeError, match="delta_prev"):
         TaskInstance("c", shorter.visits, shorter.demo, shorter.target, delta_prev=[0.0, 1.0])
+
+
+@pytest.mark.parametrize("field", ["visits", "delta_prev", "target"])
+def test_instance_fields_cannot_be_reassigned(field):
+    _, instances = build(tiny_config())
+    patient_c = instances[2]                         # input visits at days 1, 5 and 6.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(patient_c, field, getattr(patient_c, field)[::-1])
+    assert [v.time_days for v in patient_c.visits] == [1.0, 5.0, 6.5]
+    assert patient_c.delta_prev.tolist() == [0.0, 4.0, 1.5]
 
 
 def test_target_of_wrong_width_rejected_by_batch_loss():
@@ -294,15 +301,19 @@ def test_empty_batch_rejected():
         model.predict([])
 
 
-def test_forward_instance_collects_one_record_per_visit():
+def test_forward_batch_reports_each_visits_attention():
     model, instances = build(tiny_config(), seed=5)
     probs, attention = model.forward_batch([instances[2]])
-    records = attention.records()
     assert probs.shape == (1, model.n_targets)
-    assert len(records) == len(instances[2].visits)
-    for record in records:
-        assert [m[0] for m in record.query_meta] == ["med"] * (len(record.query_meta) - 1) + ["time"]
-        assert np.all(np.abs(record.weights.sum(axis=1) - 1.0) <= 1e-12)
+    type_ids = attention.tokens.type_ids
+    assert len(type_ids) == len(attention.queries) == len(instances[2].visits)
+    for v, row in enumerate(attention.queries):
+        # task-aware med: the med tokens and the interval token query, in token order
+        queries = np.flatnonzero(np.isin(type_ids[v], [0, len(EVENT_TYPES)]))
+        assert row.tolist() == queries.tolist() + [-1] * (len(row) - len(queries))
+        weights = attention.query_weights[v, :len(queries)]
+        assert np.all(np.abs(weights.sum(axis=1) - 1.0) <= 1e-12)
+        assert not weights[:, type_ids[v] < 0].any()
     model, instances = build(tiny_config(drops=("cross",)), seed=5)
     _, attention = model.forward_batch([instances[2]])
     assert attention is None
@@ -320,10 +331,11 @@ def test_model_sizes_must_be_positive_integers(field, value):
 
 
 @pytest.mark.parametrize("change, shown", [
+    ({"task": "surgery"}, "unknown task target 'surgery'"),
     ({"mode": "aware"}, "unknown attention mode 'aware'"),
     ({"backbone": "rnn"}, "unsupported backbone 'rnn'"),
     ({"task": "mortality"}, "mortality prediction has no primary event type"),
-], ids=["unknown-mode", "unknown-backbone", "task-aware-mortality"])
+], ids=["unknown-task", "unknown-mode", "unknown-backbone", "task-aware-mortality"])
 def test_model_config_rejects_unknown_mode_backbone_and_primary(change, shown):
     with pytest.raises(ValueError, match=f"^{shown}"):
         tiny_config(**change)
@@ -362,9 +374,10 @@ class TestBatchContracts:
 
     def test_within_type_permutation_equivariance_through_model(self):
         # diag tokens are keys only in task-aware med, so relabelling diag codes
-        # moves no slot of the visit vector and must change no output bit.  The
-        # generated visits carry up to six diag keys; the attention the model reports
-        # shows the ulps that a sum in label order leaves, which the probabilities round off
+        # moves no slot of the visit vector and must change no output bit.  Tokens of
+        # a type are ordered by their embedding bytes, which the relabelling keeps, so
+        # the reported attention keeps every bit and position; only the diag codes change.
+        # The generated visits carry up to six diag keys
         cfg = tiny_config()
         rng = np.random.default_rng(14)
         generated = [PatientRecord(f"p{i}", 50.0, "F", [
@@ -376,8 +389,9 @@ class TestBatchContracts:
                   [rng.permutation(6) for _ in range(3)])]
         for vocab, records, perms in cases:
             model = CatnetModel(cfg, vocab, np.random.default_rng(14))
-            instances = build_instances(records, cfg.task_spec, vocab)
+            instances = build_instances(records, cfg.task, vocab)
             expected, expected_att = model.predict(instances), model.forward_batch(instances)[1]
+            diag_tokens = expected_att.tokens.type_ids == EVENT_TYPES.index("diag")
             for perm in perms:
                 permuted = CatnetModel(cfg, vocab, np.random.default_rng(0))
                 state = model.state_arrays()
@@ -390,16 +404,15 @@ class TestBatchContracts:
                                                                                 for c in v.codes["diag"])})
                                    for v in r.visits], r.mortality)
                     for r in records]
-                relabelled = build_instances(relabelled, cfg.task_spec, vocab)
+                relabelled = build_instances(relabelled, cfg.task, vocab)
                 np.testing.assert_array_equal(expected, permuted.predict(relabelled))
-                relabel = lambda m: ("diag", int(perm[m[1]])) if m[0] == "diag" else m
-                for rec, perm_rec in zip(expected_att.records(),
-                                         permuted.forward_batch(relabelled)[1].records()):
-                    perm_w = {(q, k): w for q, row in zip(perm_rec.query_meta, perm_rec.weights)
-                              for k, w in zip(perm_rec.key_meta, row)}
-                    for q, row in zip(rec.query_meta, rec.weights):
-                        for k, w in zip(rec.key_meta, row):
-                            assert w == perm_w[relabel(q), relabel(k)]
+                perm_att = permuted.forward_batch(relabelled)[1]
+                assert perm_att.query_weights.tobytes() == expected_att.query_weights.tobytes()
+                assert perm_att.queries.tobytes() == expected_att.queries.tobytes()
+                assert perm_att.tokens.type_ids.tobytes() == expected_att.tokens.type_ids.tobytes()
+                codes = expected_att.tokens.codes.copy()
+                codes[diag_tokens] = perm[codes[diag_tokens]]
+                np.testing.assert_array_equal(perm_att.tokens.codes, codes)
 
     def test_absent_code_neutrality_through_model(self):
         cfg = tiny_config()
@@ -413,7 +426,7 @@ class TestBatchContracts:
         grown.load_state_arrays(state)
         np.testing.assert_array_equal(
             model.predict(instances),
-            grown.predict(build_instances(tiny_records(), cfg.task_spec, bigger)))
+            grown.predict(build_instances(tiny_records(), cfg.task, bigger)))
 
 
 class TestAblationVariants:
@@ -455,7 +468,7 @@ class TestAblationVariants:
                           r.mortality)
             for r in records
         ]
-        task = cfg.task_spec
+        task = cfg.task
         a = model.predict(build_instances(records, task, vocab))
         b = model.predict(build_instances(stretched, task, vocab))
         # interval token is constant, but the global gate still sees real times
@@ -477,7 +490,7 @@ class TestAblationVariants:
                           r.mortality)
             for r in records
         ]
-        task = cfg.task_spec
+        task = cfg.task
         np.testing.assert_array_equal(
             model.predict(build_instances(records, task, vocab)),
             model.predict(build_instances(blanked, task, vocab)))
@@ -495,7 +508,6 @@ class TestAblationVariants:
                           r.mortality)
             for r in records
         ]
-        task = cfg.task_spec
         np.testing.assert_array_equal(
             model.predict(build_instances(records, task, vocab)),
             model.predict(build_instances(blanked, task, vocab)))
