@@ -78,7 +78,10 @@ def build_token_set(visits, embeddings: ad.Tensor, interval_tokens: ad.Tensor,
     # the flat list: each visit's codes type by type in list order, one interval token per
     # visit (code 0), then a padding sentinel (visit V, type -1, code 0, row -1: zeros)
     code_types = np.repeat(np.tile(active, n_visits), lengths)
-    codes = np.fromiter((c for lst in lists for c in lst), np.intp, len(code_types))
+    try:
+        codes = np.fromiter((c for lst in lists for c in lst), np.intp, len(code_types))
+    except OverflowError:   # a code no index holds lies outside every vocab: named below
+        codes = np.array([c for lst in lists for c in lst], dtype=object)
     visit = np.r_[np.repeat(np.arange(n_visits), len(active)).repeat(lengths), :n_visits + 1]
     offsets = vocab.offsets()
     sizes = np.diff(offsets)[code_types]

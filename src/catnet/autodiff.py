@@ -147,17 +147,12 @@ def record(op, data, inputs, backward_fn):
     """
     data = np.asarray(data, dtype=np.float64)
     check_finite(op, data, inputs)
-    needs = recording(inputs)
+    needs = _active_tape() is not None and any(t.requires_grad for t in inputs)
     out = Tensor.__new__(Tensor)
     out._set(data, needs)
     if needs:
         _active_tape()._record(out, backward_fn)
     return out
-
-
-def recording(inputs):
-    """Whether an op on ``inputs`` is recorded: a tape is active and some input needs a gradient."""
-    return _active_tape() is not None and any(t.requires_grad for t in inputs)
 
 
 def accumulate(t, delta):

@@ -119,11 +119,12 @@ class TaskInstance:
     gaps are finite, ``delta_prev`` is >= 0 and ``delta_global`` starts at 0 and
     rises; the layers rely on these gaps and do not check them again.  Code ranges
     are not checked here: the model checks them against its vocabulary.  Fields
-    cannot be reassigned; :func:`dataclasses.replace` checks and derives anew.
+    cannot be reassigned, the visits are kept as a tuple and the gaps are read-only;
+    :func:`dataclasses.replace` checks and derives anew.
     """
 
     patient_id: str
-    visits: list
+    visits: tuple
     demo: np.ndarray
     target: np.ndarray
     delta_prev: np.ndarray = field(init=False)    # days since the previous visit, 0 for the first
@@ -131,12 +132,14 @@ class TaskInstance:
 
     def __post_init__(self):
         pid = self.patient_id
+        object.__setattr__(self, "visits", tuple(self.visits))
         if not self.visits:
             raise ValueError(f"patient {pid}: an instance needs at least one visit")
         check_visits(self.visits, pid)
         t = np.array([v.time_days for v in self.visits], dtype=np.float64)
         object.__setattr__(self, "delta_prev", np.concatenate(([0.0], t[1:] - t[:-1])))
         object.__setattr__(self, "delta_global", t - t[0])
+        self.delta_prev.flags.writeable = self.delta_global.flags.writeable = False
         self._check_shapes(demo=(DEMOGRAPHICS_DIM,))
         if np.asarray(self.demo).dtype.kind not in "biuf" or not np.isfinite(self.demo).all():
             raise ValueError(f"patient {pid}: demo must be finite numbers, got {self.demo!r}")
@@ -175,8 +178,7 @@ def build_instances(records, task: str, vocab: VocabSpec):
             target[np.array(codes, np.intp)] = 1.0
         else:
             visits, target = rec.visits, np.array([1.0 if rec.mortality else 0.0])
-        instances.append(TaskInstance(rec.patient_id, list(visits), rec.demographics_vector(),
-                                      target))
+        instances.append(TaskInstance(rec.patient_id, visits, rec.demographics_vector(), target))
     return instances
 
 

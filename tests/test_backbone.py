@@ -148,31 +148,43 @@ class TestRunSequence:
         assert padded.shape == (2, 4, 4)
         np.testing.assert_array_equal(padded[0, 2:], 0.0)
 
-    @pytest.mark.parametrize("kind", ["gru", "lstm"])
-    def test_padding_inertness_values_and_grads(self, kind):
+    def padding_inertness(self, kind, lengths):
+        """Each sequence's last-state loss and gradients match alone and in the batch; its
+        input-gradient rows bitwise, and the other sequences' rows get zero."""
         rng = np.random.default_rng(9)
         params = RecurrentParams.init(kind, 3, 4, rng)
-        lengths = [3, 1, 5, 2]                  # a middle sequence ends first
         seqs = self.make_inputs(lengths, seed=12)
+        starts = np.cumsum(lengths) - lengths
         coeff = ad.tensor(rng.uniform(-1, 1, 4))
 
         def last_state_loss_and_grads(rows, lengths, b):
             for t in params.named().values():
                 t.grad = None
+            rows = ad.parameter(rows)
             with ad.Tape():
-                out = run(rows, params, lengths=lengths)
+                out = run_sequence(rows, lengths, params)
                 state = ad.take_row(ad.take_row(out, b), lengths[b] - 1)
                 loss = ad.sum_over(ad.mul(state, coeff))
                 ad.backward(loss)
-            return loss.item(), {k: t.grad.copy() for k, t in params.named().items()}
+            return loss.item(), {k: t.grad.copy() for k, t in params.named().items()}, rows.grad
 
-        # each sequence's last state, alone and in the ragged batch
         for b, seq in enumerate(seqs):
             alone = last_state_loss_and_grads(seq, [len(seq)], 0)
             batched = last_state_loss_and_grads(np.concatenate(seqs), lengths, b)
             assert alone[0] == batched[0]
             for k in alone[1]:
                 np.testing.assert_array_equal(alone[1][k], batched[1][k])
+            own = slice(starts[b], starts[b] + lengths[b])
+            assert alone[2].tobytes() == batched[2][own].tobytes()
+            np.testing.assert_array_equal(np.delete(batched[2], np.r_[own], axis=0), 0.0)
+
+    @pytest.mark.parametrize("kind", ["gru", "lstm"])
+    def test_padding_inertness_values_and_grads(self, kind):
+        self.padding_inertness(kind, [3, 1, 5, 2])   # a middle sequence ends first
+
+    @pytest.mark.parametrize("kind", ["gru", "lstm"])
+    def test_padding_inertness_when_every_row_reads_the_zero_row(self, kind):
+        self.padding_inertness(kind, [1, 1, 1, 1])
 
     def gradients_match_finite_differences(self, kind, lengths, seed):
         rng = np.random.default_rng(seed)

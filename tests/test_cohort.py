@@ -424,13 +424,13 @@ class TestTaskInstances:
         rec = make_record(times=(0.0, 5.0, 9.0))
         rec.visits[-1].codes["med"] = [1, 3]
         inst, = build_instances([rec], "med", vocab)
-        assert inst.visits == rec.visits[:2]
+        assert inst.visits == tuple(rec.visits[:2])
         np.testing.assert_array_equal(inst.target, [0.0, 1.0, 0.0, 1.0])
 
     def test_mortality_uses_all_visits(self, vocab):
         rec = make_record(mortality=True)
         inst, = build_instances([rec], "mortality", vocab)
-        assert inst.visits == rec.visits
+        assert inst.visits == tuple(rec.visits)
         np.testing.assert_array_equal(inst.target, [1.0])
 
     def test_target_length_matches_vocab(self):

@@ -1,4 +1,5 @@
-"""Every name that a ``catnet`` module imports is used in that module."""
+"""Every name that a ``catnet`` module imports is used in that module, and every private
+name or method that a module defines is read somewhere in the package."""
 
 import ast
 import pathlib
@@ -36,3 +37,49 @@ def test_unused_imports_finds_dead_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_definitions(tree) -> list:
+    """Private names that a module defines at its top level, and its classes' private methods."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            names += [n.name for n in node.body if isinstance(n, ast.FunctionDef)]
+    return [name for name in names if private(name)]
+
+
+def unread_private_names(sources: dict) -> list:
+    """``(module, name)`` of each private definition that no module of ``sources`` reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted((module, name) for module, tree in trees.items()
+                  for name in private_definitions(tree) if name not in read)
+
+
+def test_unread_private_names_finds_dead_helpers():
+    sources = {"a": "_DEAD, _USED = 1, 2\n_NOTE: str = 'x'\n"
+                    "def _helper():\n    return _USED\n"
+                    "class A:\n    def _gone(self):\n        pass\n"
+                    "    def _kept(self):\n        pass\n"
+                    "    def __repr__(self):\n        return self._kept()\n",
+               "b": "from a import _helper\n_helper()\n"}
+    assert unread_private_names(sources) == [("a", "_DEAD"), ("a", "_NOTE"), ("a", "_gone")]
+
+
+def test_every_private_name_is_read():
+    assert unread_private_names({path.stem: path.read_text() for path in MODULES}) == []

@@ -144,7 +144,10 @@ def test_visit_time_that_is_not_a_number_rejected_naming_the_patient():
     ({"diag": [2]}, "diag code 2 outside vocab of size 2"),
     ({"med": [-1]}, "med code -1 outside vocab of size 3"),
     ({"med": [40]}, "med code 40 outside vocab of size 3"),
-], ids=["med-reads-diag", "diag-reads-lab", "med-reads-padding", "med-past-the-table"])
+    ({"diag": [2 ** 63]}, f"diag code {2 ** 63} outside vocab of size 2"),
+    ({"diag": [-10 ** 30]}, f"diag code {-10 ** 30} outside vocab of size 2"),
+], ids=["med-reads-diag", "diag-reads-lab", "med-reads-padding", "med-past-the-table",
+        "diag-past-any-index", "diag-below-any-index"])
 def test_codes_outside_their_vocab_rejected_naming_the_patient(codes, shown):
     model, instances = build(tiny_config())
     bad = dataclasses.replace(instances[2], visits=[Visit(1.0, {"med": [0]}), Visit(2.0, codes)])
@@ -190,6 +193,21 @@ def test_instance_fields_cannot_be_reassigned(field):
         setattr(patient_c, field, getattr(patient_c, field)[::-1])
     assert [v.time_days for v in patient_c.visits] == [1.0, 5.0, 6.5]
     assert patient_c.delta_prev.tolist() == [0.0, 4.0, 1.5]
+
+
+def test_instance_visits_and_gaps_cannot_be_edited_in_place():
+    model, instances = build(tiny_config())
+    patient_c = instances[2]                         # input visits at days 1, 5 and 6.5
+    before = model.predict([patient_c])
+    with pytest.raises(AttributeError):
+        patient_c.visits.reverse()
+    for gaps in (patient_c.delta_prev, patient_c.delta_global):
+        with pytest.raises(ValueError, match="read-only"):
+            gaps[1] = -50.0
+    assert [v.time_days for v in patient_c.visits] == [1.0, 5.0, 6.5]
+    assert patient_c.delta_prev.tolist() == [0.0, 4.0, 1.5]
+    assert patient_c.delta_global.tolist() == [0.0, 4.0, 5.5]
+    np.testing.assert_array_equal(model.predict([patient_c]), before)
 
 
 def test_target_of_wrong_width_rejected_by_batch_loss():
