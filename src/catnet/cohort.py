@@ -2,7 +2,14 @@
 
 A cohort is a JSONL file (one patient per line) plus a ``vocab.json`` sidecar
 giving the per-event-type code counts.  Records are treated as immutable after
-loading and are safe to share across threads for reading.
+loading and are safe to share across threads for reading.  A :class:`Visit` is
+frozen, so its time and its code mapping cannot be reassigned; the code lists
+inside that mapping can still be edited in place.
+
+Records are trees of records, visits, dicts and lists with no reference cycles,
+so a collection of the cyclic garbage collector while a cohort is built walks
+every object built so far and frees none.  :func:`load_dataset` and
+``generate.generate`` therefore build records inside :func:`collector_paused`.
 
 The loader keeps each JSON value as parsed (integer times and ages, ``1.0``
 codes, 0/1 mortality) and makes only the patient id a string; the ``validate``
@@ -19,6 +26,8 @@ its own vocabulary, and ``network.build_instances`` a code task's target codes.
 from __future__ import annotations
 
 import bisect
+import contextlib
+import gc
 import json
 import math
 import numbers
@@ -71,7 +80,7 @@ class VocabSpec:
         return spec
 
 
-@dataclass
+@dataclass(frozen=True)
 class Visit:
     """One timestamped encounter holding sorted, duplicate-free code lists."""
 
@@ -204,6 +213,19 @@ def _is_code(c) -> bool:
     return type(c) is int or (_is_number(c) and math.isfinite(c) and int(c) == c)
 
 
+@contextlib.contextmanager
+def collector_paused():
+    """Run the body with the cyclic garbage collector off, then turn it back on only if it
+    was on before."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -254,20 +276,21 @@ def load_vocab(vocab_path: str) -> VocabSpec:
 
 
 def load_dataset(data_path: str, vocab_path: str = None):
-    """Read a cohort, validating every record and id; errors carry line numbers."""
+    """Read a UTF-8 cohort, one record per line (``\\n`` or ``\\r\\n`` endings), validating
+    every record and id; errors carry line numbers."""
     if vocab_path is None:
         vocab_path = os.path.join(os.path.dirname(data_path), "vocab.json")
     vocab = load_vocab(vocab_path)
     records, first_line = [], {}
-    with open(data_path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(data_path, "rb") as fh, collector_paused():
+        for lineno, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 rec = PatientRecord.from_dict(json.loads(line))
                 rec.validate(vocab)
-            except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
                 raise ValueError(f"{data_path}:{lineno}: malformed record: {exc}") from exc
             if rec.patient_id in first_line:
                 raise ValueError(f"{data_path}:{lineno}: duplicate patient_id {rec.patient_id!r}, "

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator, Philox
 
-from catnet.cohort import EVENT_TYPES, PatientRecord, Visit, VocabSpec, _is_integer, _is_number
+from catnet.cohort import (EVENT_TYPES, PatientRecord, Visit, VocabSpec, _is_integer, _is_number,
+                           collector_paused)
 
 _MIN_GAP_DAYS = 0.05
 
@@ -224,6 +225,8 @@ def generate(config: GenConfig, seed: int):
     Only ``config`` and ``seed`` are checked here: the records are built to keep the
     visit contract and are not validated again, so whoever uses them checks them
     (``load_dataset`` on a saved cohort, ``TaskInstance`` and the model in code).
+    The records are built with the cyclic garbage collector paused, as ``load_dataset``
+    builds them: they hold no reference cycles, so a collection would free nothing.
     """
     if not _is_integer(seed) or not 0 <= seed < 2**64:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
@@ -236,7 +239,8 @@ def generate(config: GenConfig, seed: int):
     rules = [(rule, start[rule.trigger_type] + rule.trigger_code,
               start[rule.effect_type] + rule.effect_code) for rule in config.rules]
     rng = Generator(Philox(0))   # one bit generator, rekeyed per patient
-    records = [_generate_patient(config, _patient_stream(rng, seed, i), i, base_logits, offsets,
-                                 local_codes, rules) for i in range(config.n_patients)]
+    with collector_paused():
+        records = [_generate_patient(config, _patient_stream(rng, seed, i), i, base_logits,
+                                     offsets, local_codes, rules) for i in range(config.n_patients)]
     return records, vocab
 

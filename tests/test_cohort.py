@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -155,6 +156,36 @@ class TestValidation:
             fh.write("{not json\n")
         with pytest.raises(ValueError, match=":4:"):
             load_dataset(str(data))
+
+    @pytest.mark.parametrize("line, shown", [
+        (b'{"patient_id":"p\xff1"}', "'utf-8' codec can't decode byte 0xff in position 16"),
+        (b"[" * 100000, "maximum recursion depth exceeded"),
+    ], ids=["not-utf-8", "nested-too-deep"])
+    def test_unreadable_line_names_file_and_line(self, tmp_path, vocab, line, shown):
+        data = tmp_path / "cohort.jsonl"
+        save_dataset(make_cohort(3), vocab, str(data))
+        lines = data.read_bytes().splitlines()
+        data.write_bytes(b"\n".join([lines[0], line, lines[2]]) + b"\n")
+        with pytest.raises(ValueError, match=rf"cohort\.jsonl:2: malformed record: {shown}"):
+            load_dataset(str(data))
+
+    def test_crlf_line_endings_load(self, tmp_path, vocab):
+        records = make_cohort(5)
+        data = tmp_path / "cohort.jsonl"
+        save_dataset(records, vocab, str(data))
+        data.write_bytes(data.read_bytes().replace(b"\n", b"\r\n"))
+        loaded, _ = load_dataset(str(data))
+        assert [r.to_dict() for r in loaded] == [r.to_dict() for r in records]
+
+    @pytest.mark.parametrize("field, value", [("time_days", 0.5), ("codes", {"med": [1]})],
+                             ids=["time_days", "codes"])
+    def test_visit_fields_cannot_be_reassigned(self, field, value):
+        """A visit's time and code mapping are fixed once built, so gaps derived from them
+        (``TaskInstance``) cannot go stale."""
+        visit = make_record().visits[1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(visit, field, value)
+        assert visit == make_record().visits[1]
 
     def test_invariant_violation_names_patient(self, tmp_path, vocab):
         records = make_cohort(3)

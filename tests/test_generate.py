@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import math
 import re
@@ -6,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from catnet.cohort import EVENT_TYPES, save_dataset
+from catnet.cohort import EVENT_TYPES, load_dataset, save_dataset
 from catnet.generate import GenConfig, PlantedRule, conditional_effect_probability, generate
 
 
@@ -143,6 +144,44 @@ def test_generated_records_keep_the_visit_contract(name):
     records, vocab = generate(make_config(), 7919)
     for rec in records:
         rec.validate(vocab)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_cohort_building_restores_collector_state(tmp_path, enabled):
+    """generate and load_dataset pause the collector and leave it as they found it,
+    also when the load fails."""
+    data = tmp_path / "cohort.jsonl"
+    if not enabled:
+        gc.disable()
+    try:
+        records, vocab = generate(dataclasses.replace(GenConfig.default(), n_patients=20), 1)
+        assert gc.isenabled() is enabled
+        save_dataset(records, vocab, str(data))
+        load_dataset(str(data))
+        assert gc.isenabled() is enabled
+        with open(data, "a") as fh:
+            fh.write("{not json\n")
+        with pytest.raises(ValueError, match=r"cohort\.jsonl:21: malformed record"):
+            load_dataset(str(data))
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+def test_cohort_records_hold_no_reference_cycles(tmp_path):
+    """generate and load_dataset pause the collector because the records they build hold no
+    reference cycles; a cycle brought into them leaves garbage that only a collection frees."""
+    data = tmp_path / "cohort.jsonl"
+    gc.collect()
+    gc.disable()
+    try:
+        records, vocab = generate(dataclasses.replace(GenConfig.default(), n_patients=200), 7919)
+        save_dataset(records, vocab, str(data))
+        loaded, _ = load_dataset(str(data))
+        del records, loaded
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("field, value, message", [
