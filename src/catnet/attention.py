@@ -72,7 +72,8 @@ def build_token_set(visits, embeddings: ad.Tensor, interval_tokens: ad.Tensor,
     sort of the batch's flat token list by (visit, type, byte rank) decides the token order.
     """
     active = np.flatnonzero([etype in types for etype in EVENT_TYPES])
-    lists = [visit.codes_for(EVENT_TYPES[tid]) for visit in visits for tid in active]
+    names = [etype for etype in EVENT_TYPES if etype in types]
+    lists = [visit.codes_for(etype) for visit in visits for etype in names]
     lengths = np.fromiter(map(len, lists), np.intp, len(lists))
     n_visits = len(visits)
     # the flat list: each visit's codes type by type in list order, one interval token per

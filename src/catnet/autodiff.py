@@ -31,20 +31,24 @@ Row-wise products run on BLAS through :func:`row_product`, which multiplies
 blocks of exactly ``ROW_BLOCK`` zero-padded rows, so a row's bits depend
 neither on its neighbours nor on its position (a plain ``x @ w`` sends a lone
 row to another kernel).  Given weights with a leading gate axis, it runs one
-``np.matmul`` whose every block is the same product a single gate would run;
-the recurrent cell applies its input and state maps so.  ``linear`` takes its
-values and input gradient from it, and its weight gradient from
-:func:`outer_sum`, which drops zero-gradient rows first (a BLAS sum over rows
-groups its terms by position, so padding rows would move the grouping) and
-multiplies the kept rows as ``row_product`` blocks as well: OpenBLAS keeps
-blocks of this size on the calling thread, where one large product would wake
-worker threads.  The batched attention contractions stay on ``np.einsum``
-without path optimisation (one dot product in index order per output entry),
-because their padding grows the query and key axes of each product, and a BLAS
-call of another shape may take another kernel.  Sums over an axis that padding
-fills with zeros add their terms one after another in index order
-(:func:`sum_over`, :func:`stable_softmax`, :func:`weighted_row_sum`), so
-padding never changes a result bit; a caller that needs a sum independent of
+``np.matmul`` whose every block is the same product a single gate would run.
+It copies the rows into a zero :func:`row_blocks` buffer and multiplies that
+by :func:`block_product`, the one place that splits rows into blocks.  The
+recurrent cell, which multiplies a few rows at every step, calls
+:func:`block_product` itself on buffers it allocates once per call, so its
+blocks have the shape and bits they would have through ``row_product``.
+``linear`` takes its values and input gradient from ``row_product``, and its
+weight gradient from :func:`outer_sum`, which drops zero-gradient rows first
+(a BLAS sum over rows groups its terms by position, so padding rows would move
+the grouping) and multiplies the kept rows as ``row_product`` blocks as well:
+OpenBLAS keeps blocks of this size on the calling thread, where one large
+product would wake worker threads.  The batched attention contractions stay on
+``np.einsum`` without path optimisation (one dot product in index order per
+output entry), because their padding grows the query and key axes of each
+product, and a BLAS call of another shape may take another kernel.  Sums over
+an axis that padding fills with zeros add their terms one after another in
+index order (:func:`sum_over`, :func:`stable_softmax`, :func:`weighted_row_sum`),
+so padding never changes a result bit; a caller that needs a sum independent of
 the order of its terms puts them in a fixed order first, as cross-event
 attention does with each visit's tokens.
 
@@ -267,10 +271,14 @@ def tanh(t):
     return record("tanh", out_data, (t,), bwd)
 
 
-def logistic(x):
-    """``1 / (1 + exp(-x))`` of an array, without overflow for large ``|x|``."""
+def logistic(x, out=None):
+    """``1 / (1 + exp(-x))`` of an array, into ``out`` if given, without overflow for large ``|x|``.
+
+    With ``e = exp(-|x|)``, one division of 1 (where ``x >= 0``) or ``e`` by ``1 + e``: the
+    bits, NaN included, of ``1 / (1 + e)`` or ``e / (1 + e)`` as ``x >= 0`` or not.
+    """
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 def sigmoid(t):
@@ -323,6 +331,24 @@ def matmul(a, b):
 ROW_BLOCK = 8
 
 
+def row_blocks(n, width, lead=()):
+    """Zeros of shape ``lead + (m, width)``: ``n`` rows rounded up to whole ``ROW_BLOCK`` blocks."""
+    return np.zeros(lead + (-(-n // ROW_BLOCK) * ROW_BLOCK, width))
+
+
+def block_product(blocks, n, w):
+    """The first ``n`` rows of ``blocks @ w`` (G, n, O), ``blocks`` (..., m, I), ``w`` (G, I, O).
+
+    One ``np.matmul`` multiplies the whole ``ROW_BLOCK``-row blocks that hold the ``n`` rows
+    and no others, so ``blocks`` must have that many rows.  Rows past ``n`` in them may hold
+    anything finite, since no row of a block product reads another.
+    """
+    m = -(-n // ROW_BLOCK) * ROW_BLOCK
+    y = np.matmul(blocks[..., :m, :].reshape(blocks.shape[:-2] + (-1, ROW_BLOCK, blocks.shape[-1])),
+                  w[:, None])
+    return y.reshape(len(w), m, w.shape[-1])[:, :n]
+
+
 def row_product(x, w):
     """``x @ w`` for ``x`` (..., I), ``w`` (I, O), as a stack of ``ROW_BLOCK``-row products.
 
@@ -333,9 +359,9 @@ def row_product(x, w):
     if w.ndim == 2:
         return row_product(x.reshape(-1, x.shape[-1]), w[None])[0].reshape(x.shape[:-1] + w.shape[1:])
     n = x.shape[-2]
-    blocks = np.zeros(x.shape[:-2] + (-(-n // ROW_BLOCK), ROW_BLOCK, x.shape[-1]))
-    blocks.reshape(x.shape[:-2] + (-1, x.shape[-1]))[..., :n, :] = x
-    return np.matmul(blocks, w[:, None]).reshape(len(w), -1, w.shape[-1])[:, :n]
+    blocks = row_blocks(n, x.shape[-1], x.shape[:-2])
+    blocks[..., :n, :] = x
+    return block_product(blocks, n, w)
 
 
 def outer_sum(g, x):

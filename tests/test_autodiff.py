@@ -403,6 +403,14 @@ def test_row_product_gate_axis_equals_one_product_per_gate(n_rows):
         got = ad.row_product(per_gate[:len(w)], w)
         for k in range(len(w)):
             np.testing.assert_array_equal(got[k], ad.row_product(per_gate[k], w[k]))
+        # reused buffers: the rows after n_rows, in its last block and past it, are stale
+        stale = rng.uniform(-1e3, 1e3, (len(w), n_rows + 2 * ad.ROW_BLOCK, 6))
+        stale[:, :n_rows] = shared
+        np.testing.assert_array_equal(ad.block_product(stale[0], n_rows, w),
+                                      ad.row_product(shared, w))
+        stale[:, :n_rows] = per_gate[:len(w)]
+        np.testing.assert_array_equal(ad.block_product(stale, n_rows, w),
+                                      ad.row_product(per_gate[:len(w)], w))
 
 
 @pytest.mark.parametrize("n_out", [1, 3, 64])
@@ -422,3 +430,23 @@ def test_linear_weight_gradient_ignores_interleaved_zero_gradient_rows(n_out):
                 ad.backward(ad.sum_over(ad.mul(y, ad.tensor(g))))
             grads.append(w.grad)
         np.testing.assert_array_equal(grads[0], grads[1])
+
+
+def logistic_reference(x):
+    """The two-branch form: ``1 / (1 + e)`` where ``x >= 0``, else ``e / (1 + e)``."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def test_logistic_equals_the_two_branch_form_bitwise():
+    edges = np.array([0.0, 1e-300, 36.7, 709.8, 745.2, 1e308])
+    draws = np.random.default_rng(17).uniform(-800.0, 800.0, 10 ** 5)
+    for x in (np.r_[edges, -edges], draws):
+        got = ad.logistic(x)
+        assert got.tobytes() == logistic_reference(x).tobytes()
+        assert np.all((got >= 0.0) & (got <= 1.0))
+        out = np.empty_like(x)
+        assert ad.logistic(x, out=out) is out and out.tobytes() == got.tobytes()
+    assert ad.logistic(np.array([0.0, -0.0])).tolist() == [0.5, 0.5]
+    nan = np.array([np.nan, -np.nan])
+    assert ad.logistic(nan).tobytes() == logistic_reference(nan).tobytes()

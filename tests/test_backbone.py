@@ -186,6 +186,21 @@ class TestRunSequence:
     def test_padding_inertness_when_every_row_reads_the_zero_row(self, kind):
         self.padding_inertness(kind, [1, 1, 1, 1])
 
+    @pytest.mark.parametrize("kind", ["gru", "lstm"])
+    def test_batch_transparency_across_row_blocks(self, kind):
+        # 17 -> 9 -> 8 -> 1 running sequences: 3, 2, 1 and 1 blocks of ROW_BLOCK = 8 rows,
+        # so later steps leave rows of earlier, larger steps in the reused buffers
+        lengths = [1] * 8 + [2] + [3] * 7 + [6]
+        assert ad.ROW_BLOCK == 8
+        np.testing.assert_array_equal(step_mask(lengths).sum(axis=0), [17, 9, 8, 1, 1, 1])
+        seqs = self.make_inputs(lengths, seed=18)
+        params = RecurrentParams.init(kind, 3, 4, np.random.default_rng(19))
+        together = run(np.concatenate(seqs), params, lengths=lengths).data
+        for b, seq in enumerate(seqs):
+            assert together[b, :len(seq)].tobytes() == run(seq, params).data[0].tobytes()
+            np.testing.assert_array_equal(together[b, len(seq):], 0.0)
+        self.padding_inertness(kind, lengths)
+
     def gradients_match_finite_differences(self, kind, lengths, seed):
         rng = np.random.default_rng(seed)
         params = RecurrentParams.init(kind, 2, 3, rng)

@@ -1,5 +1,6 @@
-"""Every name that a ``catnet`` module imports is used in that module, and every private
-name or method that a module defines is read somewhere in the package."""
+"""Every name that a ``catnet`` module imports is used in that module, every private name
+or method that a module defines is read somewhere in the package, and no module but
+``autodiff`` writes a BLAS product."""
 
 import ast
 import pathlib
@@ -83,3 +84,47 @@ def test_unread_private_names_finds_dead_helpers():
 
 def test_every_private_name_is_read():
     assert unread_private_names({path.stem: path.read_text() for path in MODULES}) == []
+
+
+BLAS_CALLS = {"matmul", "dot", "tensordot", "inner"}
+
+
+def blas_products(source: str) -> list:
+    """``(line, what)`` of each BLAS product a module writes: ``np.matmul``, ``np.dot``,
+    ``np.tensordot``, ``np.inner``, ``np.linalg.*``, the ``@`` operator (also ``@=``), or an
+    ``np.einsum`` given ``optimize``, which may hand the contraction to BLAS."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in ("np", "numpy") \
+                and (node.attr in BLAS_CALLS or node.attr == "linalg"):
+            found.append((node.lineno, f"np.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy") \
+                and ("linalg" in node.module
+                     or any(a.name in BLAS_CALLS | {"linalg"} for a in node.names)):
+            found.append((node.lineno, f"from {node.module} import"))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "einsum" and any(k.arg == "optimize" for k in node.keywords):
+            found.append((node.lineno, "einsum(optimize=...)"))
+    return sorted(found)
+
+
+def test_blas_products_finds_every_form():
+    source = ("import numpy as np\nfrom numpy.linalg import norm\nfrom numpy import dot\n"
+              "a = np.matmul(x, y) + np.dot(x, y)\nb = x @ y\nb @= y\n"
+              "c = np.linalg.solve(x, y)\nd = np.einsum('ij,jk->ik', x, y, optimize=True)\n"
+              "e = np.einsum('ij,jk->ik', x, y) * np.tensordot(x, y) + np.inner(x, y)\n")
+    assert blas_products(source) == [
+        (2, "from numpy.linalg import"), (3, "from numpy import"), (4, "np.dot"),
+        (4, "np.matmul"), (5, "@"), (6, "@"), (7, "np.linalg"), (8, "einsum(optimize=...)"),
+        (9, "np.inner"), (9, "np.tensordot")]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "autodiff"],
+                         ids=lambda path: path.stem)
+def test_blas_products_only_in_autodiff(path):
+    # autodiff runs every BLAS product in fixed ROW_BLOCK-row blocks on the calling thread,
+    # and keeps the attention contractions on np.einsum without path optimisation
+    assert blas_products(path.read_text()) == []
