@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from catnet import autodiff as ad
-from catnet.backbone import step_mask
 from catnet.time_kernel import TimeKernelParams, time_embed
 
 
@@ -60,7 +59,7 @@ def visit_self_attention(states: ad.Tensor, lengths):
     states in visit order.  Returns ``(pooled, alpha)``: ``pooled`` is
     ``(B, H)``; ``alpha`` is a list of one ``(T_b, T_b)`` array per patient.
     """
-    mask = step_mask(lengths)
+    mask = ad.packed_rows(lengths) >= 0
     logits = ad.scale(ad.einsum("bqh,bkh->bqk", states, states), 1.0 / math.sqrt(states.shape[-1]))
     alpha = ad.stable_softmax(logits, mask[:, None, :])
     column = ad.weighted_row_sum(ad.tensor(mask[:, None, :]), alpha)
@@ -78,12 +77,9 @@ def global_time_gate(states: ad.Tensor, delta_global, lengths, kernel: TimeKerne
     ``gated`` is ``(B, H)`` like :func:`visit_self_attention`'s ``pooled``;
     ``gates`` is a list of one ``(T_b, H)`` array per patient.
     """
-    mask = step_mask(lengths)
-    first = np.cumsum(lengths) - lengths
-    source = np.where(mask, np.cumsum(mask).reshape(mask.shape) - 1, -1)   # padding reads zeros
     gates = ad.sigmoid(time_embed(delta_global, kernel))
-    grid = ad.take_row(gates, source)
-    return ad.sum_over(ad.mul(grid, states), axis=1), np.split(gates.data, first[1:])
+    grid = ad.take_row(gates, ad.packed_rows(lengths))   # padding reads zeros
+    return ad.sum_over(ad.mul(grid, states), axis=1), np.split(gates.data, np.cumsum(lengths)[:-1])
 
 
 def fuse_and_predict(fused: ad.Tensor, demo, params: HeadParams) -> ad.Tensor:

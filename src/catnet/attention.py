@@ -101,9 +101,7 @@ def build_token_set(visits, embeddings: ad.Tensor, interval_tokens: ad.Tensor,
     rank = np.unique(table.data.view((np.void, table.data.itemsize * table.shape[1]))[:, 0],
                      return_inverse=True)[1]
     order = np.lexsort((rank[rows], type_ids, visit))      # the sentinel sorts last
-    counts = np.bincount(visit)[:-1]
-    slot = np.arange(counts.max())
-    index = order[np.where(slot < counts[:, None], (np.cumsum(counts) - counts)[:, None] + slot, -1)]
+    index = order[ad.packed_rows(np.bincount(visit)[:-1])]   # -1: the sentinel
     return TokenBatch(values=ad.take_row(table, rows[index]), type_ids=type_ids[index],
                       codes=codes[index])
 

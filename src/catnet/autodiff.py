@@ -478,6 +478,14 @@ def take_row(table, index):
     return record("take_row", np.take(padded, index, axis=0), (table,), bwd)
 
 
+def packed_rows(lengths) -> np.ndarray:
+    """``(B, T)`` grid over B sequences packed one after another: the packed row of each
+    sequence's step, or -1 (:func:`take_row`'s zero row) past the sequence's length."""
+    lengths = np.asarray(lengths)
+    step = np.arange(lengths.max())
+    return np.where(step < lengths[:, None], (np.cumsum(lengths) - lengths)[:, None] + step, -1)
+
+
 # ---------------------------------------------------------------------------
 # attention and loss primitives
 # ---------------------------------------------------------------------------

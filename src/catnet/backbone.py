@@ -61,12 +61,6 @@ class RecurrentParams:
         return {"rnn_w": self.w, "rnn_u": self.u, "rnn_b": self.b}
 
 
-def step_mask(lengths) -> np.ndarray:
-    """``(B, T)`` booleans, True at the steps each sequence has."""
-    lengths = np.asarray(lengths)
-    return np.arange(lengths.max()) < lengths[:, None]
-
-
 def run_sequence(inputs: ad.Tensor, lengths, params: RecurrentParams) -> ad.Tensor:
     """One tape op: packed ``(V, I)`` inputs -> states ``(B, T, H)``, zero past each length."""
     lengths = np.asarray(lengths, dtype=np.intp)
@@ -78,8 +72,9 @@ def run_sequence(inputs: ad.Tensor, lengths, params: RecurrentParams) -> ad.Tens
     if inputs.data.ndim != 2 or inputs.shape[1] != w.shape[2]:
         raise ValueError(f"run_sequence: input shape mismatch {inputs.shape} vs (V, {w.shape[2]})")
     # the V real rows, time-major; within a step, the running sequences in batch order
-    step, seq = np.nonzero(step_mask(lengths).T)
-    rows = (np.cumsum(lengths) - lengths)[seq] + step   # each row's patient-major position
+    grid = ad.packed_rows(lengths)
+    step, seq = np.nonzero(grid.T >= 0)
+    rows = grid[seq, step]                               # each row's patient-major position
     order = np.argsort(rows)                             # each patient-major row's time-major row
     x = (ad.row_product(inputs.data, w.transpose(0, 2, 1)) + b[:, None])[:, rows]   # (G, V, H)
     u_t = u.transpose(0, 2, 1)

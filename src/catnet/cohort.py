@@ -19,8 +19,9 @@ methods alone judge them, and a re-save writes them back as read.
 :meth:`Visit.validate`, and the visit times strictly increase.
 :meth:`PatientRecord.validate` (so :func:`load_dataset`) calls it with the
 vocabulary.  ``network.TaskInstance`` calls it without one and derives the gaps
-that the model's layers use unchecked; the model checks input code ranges against
-its own vocabulary, and ``network.build_instances`` a code task's target codes.
+that the model's layers use unchecked; ``network.build_instances`` calls it on a
+code task's last input visit and target visit.  The model checks input code ranges
+against its own vocabulary, and ``build_instances`` a code task's target codes.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ import numpy as np
 
 EVENT_TYPES = ("med", "diag", "lab", "proc")
 DEMOGRAPHICS_DIM = 3  # width of PatientRecord.demographics_vector
+# what parsing and judging a malformed cohort or vocab file raises; the loaders name the file
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
 
 
 @dataclass
@@ -91,8 +94,8 @@ class Visit:
         """Raise an error naming patient ``owner`` unless the time is a finite number >= 0
         and the codes map event types to sorted, duplicate-free lists of integers, each
         inside ``vocab`` when one is given."""
-        _as_number(self.time_days, owner, "time_days")
-        if not (math.isfinite(self.time_days) and self.time_days >= 0):
+        time = _as_number(self.time_days, owner, "time_days")
+        if not (math.isfinite(time) and time >= 0):
             raise ValueError(f"patient {owner}: visit time must be finite and >= 0")
         if not isinstance(self.codes, dict):
             raise ValueError(f"patient {owner}: visit codes must be an object, got {self.codes!r}")
@@ -202,10 +205,13 @@ def _is_integer(x) -> bool:
 
 
 def _as_number(x, pid, field) -> float:
-    """``x`` as a float if it is a number; else an error naming the patient and the field."""
+    """``x`` as a float if it is a number that fits one; else an error naming patient and field."""
     if not _is_number(x):
         raise ValueError(f"patient {pid}: {field} must be a number, got {x!r}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:   # the value itself may be too long to print
+        raise ValueError(f"patient {pid}: {field} is too large for a float") from None
 
 
 def _is_code(c) -> bool:
@@ -271,7 +277,7 @@ def load_vocab(vocab_path: str) -> VocabSpec:
     with open(vocab_path) as fh:
         try:
             return VocabSpec.from_dict(json.load(fh))
-        except (KeyError, TypeError, ValueError) as exc:
+        except _MALFORMED as exc:
             raise ValueError(f"{vocab_path}: malformed vocab: {exc}") from exc
 
 
@@ -290,7 +296,7 @@ def load_dataset(data_path: str, vocab_path: str = None):
                     continue
                 rec = PatientRecord.from_dict(json.loads(line))
                 rec.validate(vocab)
-            except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+            except _MALFORMED as exc:
                 raise ValueError(f"{data_path}:{lineno}: malformed record: {exc}") from exc
             if rec.patient_id in first_line:
                 raise ValueError(f"{data_path}:{lineno}: duplicate patient_id {rec.patient_id!r}, "

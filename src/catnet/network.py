@@ -24,8 +24,9 @@ Ablation variants substitute documented replacements for single components:
 without cross-event attention the visit vector holds raw embeddings in the
 same slot layout; without visit attention the hidden states are summed over
 visits in place of its contexts; without the global gate that route
-contributes nothing; without the interval signal a learned constant token
-stands in for every gap; dropped event types are removed from every visit.
+contributes nothing; without the interval signal every gap is embedded as 0,
+so one learned interval token serves every visit; dropped event types are
+removed from every visit.  Every variant has the same parameters.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ class ModelConfig:
     mode: str = "task-aware"
     backbone: str = "gru"
     embed_dim: int = 16
-    kernel_dim: int = 16
     hidden_dim: int = 64
     demo_dim: int = 8
     drops: tuple = ()
@@ -90,7 +90,7 @@ class ModelConfig:
         if self.backbone not in GATES:
             raise ValueError(f"unsupported backbone {self.backbone!r}; "
                              f"expected one of {tuple(GATES)}")
-        for name in ("embed_dim", "kernel_dim", "hidden_dim", "demo_dim"):
+        for name in ("embed_dim", "hidden_dim", "demo_dim"):
             value = getattr(self, name)
             if not _is_integer(value) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
@@ -159,8 +159,9 @@ def build_instances(records, task: str, vocab: VocabSpec):
     """One instance per record for ``task``, an event type or ``"mortality"``.
 
     A code task's inputs are all visits but the last, and its target is the last visit's
-    multi-hot of the task's event type: that visit is checked as the inputs are and its
-    codes of that type against the vocabulary, then they (``1.0`` too) mark the target.
+    multi-hot of the task's event type: that visit is checked as the inputs are, must come
+    after the last of them, and its codes of that type are checked against the vocabulary;
+    then they (``1.0`` too) mark the target.
     Mortality's inputs are all visits and its target the record's flag: 1 or true makes
     ``[1.0]``.
     """
@@ -170,7 +171,7 @@ def build_instances(records, task: str, vocab: VocabSpec):
     for rec in records:
         if task != "mortality":
             visits, last = rec.visits[:-1], rec.visits[-1:]   # no visits: TaskInstance rejects
-            check_visits(last, rec.patient_id)
+            check_visits(rec.visits[-2:], rec.patient_id)     # the target after the inputs
             codes = [c for v in last for c in v.codes_for(task)]
             size = vocab.size(task)
             check_code_range(codes, task, size, rec.patient_id)
@@ -194,15 +195,12 @@ class CatnetModel:
         self.slot_bases = slot_bases(config.mode, config.task, vocab)
         self.input_width = int(self.slot_bases[-1] + 1) * config.embed_dim
         self.emb = ad.parameter(rng.uniform(-0.1, 0.1, (vocab.total(), config.embed_dim)))
-        self.interval_kernel = TimeKernelParams.init(config.kernel_dim, config.embed_dim, rng)
-        self.decay_kernel = TimeKernelParams.init(config.hidden_dim, config.hidden_dim, rng)
+        self.interval_kernel = TimeKernelParams.init(config.embed_dim, rng)
+        self.decay_kernel = TimeKernelParams.init(config.hidden_dim, rng)
         self.rnn = RecurrentParams.init(config.backbone, self.input_width,
                                         config.hidden_dim, rng)
         self.head = HeadParams.init(DEMOGRAPHICS_DIM, config.demo_dim, config.hidden_dim,
                                     self.n_targets, rng)
-        self.constant_interval = (
-            ad.parameter(rng.uniform(-0.1, 0.1, config.embed_dim))
-            if "time" in config.drops else None)
 
     def parameters(self) -> dict:
         named = {"emb": self.emb}
@@ -210,8 +208,6 @@ class CatnetModel:
         named.update(self.decay_kernel.named("gt"))
         named.update(self.rnn.named())
         named.update(self.head.named())
-        if self.constant_interval is not None:
-            named["const_interval"] = self.constant_interval
         return dict(sorted(named.items()))
 
     def forward_batch(self, instances, train: bool = False, dropout: float = 0.0,
@@ -235,12 +231,9 @@ class CatnetModel:
             raise ValueError("forward_batch: empty batch; pass at least one instance")
         lengths = np.array([len(inst.visits) for inst in instances])
         visits = [visit for inst in instances for visit in inst.visits]
-        if self.constant_interval is None:
-            delta_prev = np.concatenate([inst.delta_prev for inst in instances])
-            intervals = time_embed(delta_prev / TIME_SCALE_DAYS, self.interval_kernel)
-        else:
-            intervals = ad.add(ad.tensor(np.zeros((len(visits), cfg.embed_dim))),
-                               self.constant_interval)
+        delta_prev = (np.zeros(len(visits)) if "time" in cfg.drops
+                      else np.concatenate([inst.delta_prev for inst in instances]))
+        intervals = time_embed(delta_prev / TIME_SCALE_DAYS, self.interval_kernel)
         visible = tuple(t for t in EVENT_TYPES if t not in cfg.dropped_types())
         owners = np.repeat([inst.patient_id for inst in instances], lengths)
         tokens = build_token_set(visits, self.emb, intervals, self.vocab, visible, owners)

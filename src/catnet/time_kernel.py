@@ -7,10 +7,10 @@ since the first visit (driving the global gate).  The kernel is
     out = w2 @ (1 - tanh((w1 * delta + b1)^2)) + b2
 
 whose inner component lies in (0, 1], saturating towards 0 as the gap grows.
-It maps an array of gaps of any shape at once: a scalar gap gives one
-``(out,)`` vector, ``V`` gaps a ``(V, out)`` array.  Every gap is embedded on
-its own, so no gap changes another's embedding.  Callers are expected to scale
-raw day values before embedding; the kernel itself applies none.
+It is as wide as its output and maps gaps of any shape at once: a scalar gap
+gives one ``(width,)`` vector, ``V`` gaps a ``(V, width)`` array.  Every gap
+is embedded on its own, so no gap changes another's embedding.  Callers are
+expected to scale raw day values before embedding; the kernel applies none.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from catnet import autodiff as ad
 
 @dataclass
 class TimeKernelParams:
-    """Kernel weights: w1/b1 of the hidden width, w2/b2 mapping to the output."""
+    """Kernel weights of one width: w1/b1 ``(width,)``, w2 ``(width, width)``, b2 ``(width,)``."""
 
     w1: ad.Tensor
     b1: ad.Tensor
@@ -32,13 +32,13 @@ class TimeKernelParams:
     b2: ad.Tensor
 
     @classmethod
-    def init(cls, hidden: int, out: int, rng: np.random.Generator) -> "TimeKernelParams":
-        bound = np.sqrt(6.0 / (hidden + out))
+    def init(cls, width: int, rng: np.random.Generator) -> "TimeKernelParams":
+        bound = np.sqrt(6.0 / (width + width))
         return cls(
-            w1=ad.parameter(rng.uniform(-0.5, 0.5, hidden)),
-            b1=ad.parameter(rng.uniform(-0.5, 0.5, hidden)),
-            w2=ad.parameter(rng.uniform(-bound, bound, (out, hidden))),
-            b2=ad.parameter(np.zeros(out)),
+            w1=ad.parameter(rng.uniform(-0.5, 0.5, width)),
+            b1=ad.parameter(rng.uniform(-0.5, 0.5, width)),
+            w2=ad.parameter(rng.uniform(-bound, bound, (width, width))),
+            b2=ad.parameter(np.zeros(width)),
         )
 
     def named(self, prefix: str) -> dict:

@@ -25,8 +25,9 @@ def one(values):
 
 
 def zero_gate_kernel(hidden_dim):
-    return TimeKernelParams(w1=ad.parameter(np.zeros(2)), b1=ad.parameter(np.zeros(2)),
-                            w2=ad.parameter(np.zeros((hidden_dim, 2))),
+    return TimeKernelParams(w1=ad.parameter(np.zeros(hidden_dim)),
+                            b1=ad.parameter(np.zeros(hidden_dim)),
+                            w2=ad.parameter(np.zeros((hidden_dim, hidden_dim))),
                             b2=ad.parameter(np.zeros(hidden_dim)))
 
 
@@ -128,7 +129,7 @@ class TestGlobalGate:
 
     def test_gates_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(3)
-        kernel = TimeKernelParams.init(hidden=3, out=4, rng=rng)
+        kernel = TimeKernelParams.init(4, rng)
         hs, lengths = one([rng.uniform(-1, 1, 4) for _ in range(4)])
         _, gates = global_time_gate(hs, [0.0, 1.0, 5.0, 5.0], lengths, kernel)
         assert np.all(gates[0] > 0.0) and np.all(gates[0] < 1.0)
@@ -141,7 +142,7 @@ class TestGlobalGate:
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(4)
-        kernel = TimeKernelParams.init(hidden=2, out=3, rng=rng)
+        kernel = TimeKernelParams.init(3, rng)
         hs_data = [rng.uniform(-1, 1, 3) for _ in range(3)]
         coeff = rng.uniform(-1, 1, 3)
         tensors = [kernel.w1, kernel.b1, kernel.w2, kernel.b2]
@@ -158,7 +159,7 @@ class TestGlobalGate:
 
     def test_patient_same_alone_as_padded_by_a_longer_patient(self):
         rng = np.random.default_rng(12)
-        kernel = TimeKernelParams.init(hidden=2, out=3, rng=rng)
+        kernel = TimeKernelParams.init(3, rng)
         short, longer = rng.uniform(-1, 1, (2, 3)), rng.uniform(-1, 1, (4, 3))
         coeff = ad.tensor(rng.uniform(-1, 1, 3))
         tensors = [kernel.w1, kernel.b1, kernel.w2, kernel.b2]
@@ -211,7 +212,7 @@ class TestFuseAndPredict:
     def test_identical_states_and_times_sum_to_t_times_first(self):
         rng = np.random.default_rng(5)
         h = rng.uniform(-1, 1, 4)
-        kernel = TimeKernelParams.init(hidden=2, out=4, rng=rng)
+        kernel = TimeKernelParams.init(4, rng)
         T = 5
         hs, lengths = one([h] * T)
         total, alpha, gates = self.fused(hs, [0.0] * T, lengths, kernel)
@@ -224,7 +225,7 @@ class TestFuseAndPredict:
         hs = [rng.uniform(-1, 1, hidden_dim) for _ in range(T)]
         demo = rng.uniform(0, 1, 3)
         deltas = [0.0, 1.5, 4.0]
-        kernel = TimeKernelParams.init(hidden=2, out=hidden_dim, rng=rng)
+        kernel = TimeKernelParams.init(hidden_dim, rng)
         head = HeadParams.init(3, demo_dim, hidden_dim, n_targets, rng)
         head.demo_b.data[...] = rng.uniform(-0.5, 0.5, demo_dim)
         head.out_b.data[...] = rng.uniform(-0.5, 0.5, n_targets)

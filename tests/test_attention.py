@@ -264,7 +264,7 @@ def test_output_depends_on_interval_gap():
     vocab = VocabSpec(med=2, diag=2, lab=1, proc=1)
     codes = {"med": [1], "diag": [0], "lab": [0], "proc": []}
     rng = np.random.default_rng(77)
-    kernel = TimeKernelParams.init(hidden=3, out=4, rng=rng)
+    kernel = TimeKernelParams.init(4, rng)
     embeddings = init_table(vocab, 4, rng)
     visit = Visit(time_days=0.0, codes=codes)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from catnet import autodiff as ad
-from catnet.backbone import GATES, RecurrentParams, run_sequence, step_mask
+from catnet.backbone import GATES, RecurrentParams, run_sequence
 from gradcheck import central_difference, max_relative_error
 
 
@@ -192,7 +192,7 @@ class TestRunSequence:
         # so later steps leave rows of earlier, larger steps in the reused buffers
         lengths = [1] * 8 + [2] + [3] * 7 + [6]
         assert ad.ROW_BLOCK == 8
-        np.testing.assert_array_equal(step_mask(lengths).sum(axis=0), [17, 9, 8, 1, 1, 1])
+        np.testing.assert_array_equal((ad.packed_rows(lengths) >= 0).sum(axis=0), [17, 9, 8, 1, 1, 1])
         seqs = self.make_inputs(lengths, seed=18)
         params = RecurrentParams.init(kind, 3, 4, np.random.default_rng(19))
         together = run(np.concatenate(seqs), params, lengths=lengths).data
@@ -244,7 +244,7 @@ class TestRunSequence:
         params = RecurrentParams.init("gru", 3, 4, np.random.default_rng(11))
         with pytest.raises(ValueError, match="do not split"):
             run(np.zeros((4, 3)), params, lengths=[2, 3])
-        np.testing.assert_array_equal(step_mask([1, 3]), [[True, False, False], [True, True, True]])
+        np.testing.assert_array_equal(ad.packed_rows([1, 3]), [[0, -1, -1], [1, 2, 3]])
 
     @pytest.mark.parametrize("kind", ["gru", "lstm"])
     def test_records_one_tape_node(self, kind):

@@ -14,7 +14,7 @@ from catnet.cohort import (
     save_dataset,
     split_dataset,
 )
-from catnet.network import CatnetModel, ModelConfig, build_instances
+from catnet.network import CatnetModel, ModelConfig, TaskInstance, build_instances
 
 
 def make_record(pid="p0", times=(0.0, 3.0, 10.0), mortality=False):
@@ -93,7 +93,7 @@ class TestRoundTrip:
         for task, mode in (("med", "task-aware"), ("diag", "task-unaware"),
                            ("mortality", "task-unaware")):
             model = CatnetModel(ModelConfig(task=task, mode=mode, embed_dim=3,
-                                            kernel_dim=2, hidden_dim=4, demo_dim=2),
+                                            hidden_dim=4, demo_dim=2),
                                 vocab, np.random.default_rng(5))
             a, b = (build_instances(recs, task, vocab) for recs in (loaded, reference))
             assert [x.target.tobytes() for x in a] == [x.target.tobytes() for x in b]
@@ -240,6 +240,21 @@ class TestValidation:
                                              f"{field} must be a number, got {shown}"):
             load_dataset(str(data))
 
+    @pytest.mark.parametrize("field", ["time_days", "age_years"])
+    def test_number_too_large_for_a_float_rejected_on_load(self, tmp_path, vocab, field):
+        data = tmp_path / "cohort.jsonl"
+        save_dataset(make_cohort(3), vocab, str(data))
+        lines = data.read_text().splitlines()
+        lines[1] = re.sub(f'"{field}":[0-9.]+', f'"{field}":1{"0" * 400}', lines[1], count=1)
+        data.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"cohort\.jsonl:2: malformed record: patient p1: "
+                                             f"{field} is too large for a float$"):
+            load_dataset(str(data))
+
+    def test_time_too_large_for_a_float_rejected_naming_the_patient(self):
+        with pytest.raises(ValueError, match="^patient p7: time_days is too large for a float$"):
+            TaskInstance("p7", [Visit(10**400, {"med": [1]})], np.zeros(3), np.zeros(2))
+
     @pytest.mark.parametrize("time, shown", [("3", "'3'"), (None, "None"), (True, "True")],
                              ids=["string", "none", "bool"])
     def test_non_number_time_rejected_by_validate(self, vocab, time, shown):
@@ -359,7 +374,9 @@ class TestValidation:
         ('{"med":4,"diag":3,"lab":2}', "'proc'"),
         ("[4, 3, 2, 1]", "list indices must be integers"),
         ('{"med":4,"diag":3,"lab":2,"proc":1,"vitals":5}', "unknown event type 'vitals'"),
-    ], ids=["fraction", "string", "bool", "missing-key", "list", "unknown-type"])
+        ("[" * 100000 + "]" * 100000, "maximum recursion depth exceeded"),
+    ], ids=["fraction", "string", "bool", "missing-key", "list", "unknown-type",
+            "nested-too-deep"])
     def test_malformed_vocab_rejected_with_path(self, tmp_path, text, shown):
         path = tmp_path / "vocab.json"
         path.write_text(text + "\n")
@@ -496,6 +513,12 @@ class TestTaskInstances:
         rec.visits[-1].codes["med"] = [code]
         with pytest.raises(ValueError, match=f"^patient q: med code {code} outside vocab "
                                              "of size 4$"):
+            build_instances([rec], "med", vocab)
+
+    @pytest.mark.parametrize("times", [(1.0, 5.0, 3.0), (1.0, 1.0)], ids=["earlier", "same-time"])
+    def test_target_visit_not_after_the_inputs_rejected_naming_the_patient(self, vocab, times):
+        rec = make_record(pid="q", times=times)   # built in code, so never validated
+        with pytest.raises(ValueError, match="^patient q: visit times must be strictly increasing$"):
             build_instances([rec], "med", vocab)
 
     def test_unknown_task_rejected_naming_it(self, vocab):

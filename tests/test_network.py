@@ -6,7 +6,8 @@ import pytest
 
 from catnet import autodiff as ad
 from catnet.cohort import EVENT_TYPES, PatientRecord, Visit, VocabSpec
-from catnet.network import CatnetModel, ModelConfig, TaskInstance, build_instances, resolve_drops
+from catnet.network import (COMPONENT_DROPS, EVENT_DROPS, CatnetModel, ModelConfig, TaskInstance,
+                            build_instances, resolve_drops)
 from gradcheck import central_difference, max_relative_error
 
 
@@ -46,7 +47,7 @@ def tiny_records():
 
 def tiny_config(**kw):
     defaults = dict(task="med", mode="task-aware", backbone="gru",
-                    embed_dim=3, kernel_dim=2, hidden_dim=4, demo_dim=2)
+                    embed_dim=3, hidden_dim=4, demo_dim=2)
     defaults.update(kw)
     return ModelConfig(**defaults)
 
@@ -338,10 +339,10 @@ def test_forward_batch_reports_each_visits_attention():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("embed_dim", 0), ("embed_dim", 2.5), ("kernel_dim", True), ("kernel_dim", -2),
-    ("hidden_dim", -1), ("hidden_dim", 4.0), ("demo_dim", 0), ("demo_dim", "8"),
-], ids=["embed-zero", "embed-float", "kernel-bool", "kernel-negative", "hidden-negative",
-        "hidden-float", "demo-zero", "demo-str"])
+    ("embed_dim", 0), ("embed_dim", 2.5), ("embed_dim", True), ("hidden_dim", -1),
+    ("hidden_dim", 4.0), ("demo_dim", 0), ("demo_dim", "8"), ("demo_dim", -2),
+], ids=["embed-zero", "embed-float", "embed-bool", "hidden-negative", "hidden-float",
+        "demo-zero", "demo-str", "demo-negative"])
 def test_model_sizes_must_be_positive_integers(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be a positive integer, got "
                                          f"{re.escape(repr(value))}$"):
@@ -474,11 +475,31 @@ class TestAblationVariants:
         variant.load_state_arrays(base.state_arrays())
         assert not np.allclose(base.predict(instances), variant.predict(instances))
 
+    @pytest.mark.parametrize("task", ["med", "diag"])
+    def test_every_variant_has_the_full_models_parameters(self, task):
+        full = build(tiny_config(task=task), seed=4)[0].state_arrays()
+        for name in COMPONENT_DROPS + EVENT_DROPS:
+            if name == task:
+                continue   # rejected; the other task drops it
+            state = build(tiny_config(task=task, drops=(name,)), seed=4)[0].state_arrays()
+            assert {k: a.shape for k, a in state.items()} == {k: a.shape for k, a in full.items()}
+            assert all(state[k].tobytes() == full[k].tobytes() for k in full), name  # same draws
+
+    def test_without_time_every_gap_embeds_as_a_first_visit(self):
+        full, instances = build(tiny_config(), seed=6)
+        twin, _ = build(tiny_config(drops=("time",)), seed=9)
+        twin.load_state_arrays(full.state_arrays())
+        one = [inst for inst in instances if len(inst.visits) == 1]
+        many = [inst for inst in instances if len(inst.visits) > 1]
+        assert len(one) == 1 and len(many) == 3
+        assert twin.predict(one).tobytes() == full.predict(one).tobytes()
+        for a, b in zip(twin.predict(many), full.predict(many)):
+            assert not np.array_equal(a, b)
+
     def test_without_time_ignores_gap_sizes(self):
         cfg = tiny_config(drops=("time",))
         vocab = tiny_vocab()
         model = CatnetModel(cfg, vocab, np.random.default_rng(7))
-        assert "const_interval" in model.parameters()
         records = tiny_records()
         stretched = [
             PatientRecord(r.patient_id, r.age_years, r.sex,

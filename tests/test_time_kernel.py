@@ -12,10 +12,19 @@ def scalar_kernel(w1=1.0, b1=0.0, w2=1.0, b2=0.0):
 
 def test_zero_output_weights_give_constant_bias():
     v = np.array([0.3, -1.2, 0.8])
-    params = TimeKernelParams(w1=ad.parameter([0.7, -0.2]), b1=ad.parameter([0.1, 0.4]),
-                              w2=ad.parameter(np.zeros((3, 2))), b2=ad.parameter(v))
+    params = TimeKernelParams(w1=ad.parameter([0.7, -0.2, 0.5]), b1=ad.parameter([0.1, 0.4, -0.3]),
+                              w2=ad.parameter(np.zeros((3, 3))), b2=ad.parameter(v))
     for delta in (0.0, 1.0, 17.5, 400.0):
         np.testing.assert_array_equal(time_embed(delta, params).data, v)
+
+
+def test_init_draws_one_width_in_order():
+    params = TimeKernelParams.init(3, np.random.default_rng(8))
+    rng, bound = np.random.default_rng(8), np.sqrt(6.0 / 6)
+    expected = (rng.uniform(-0.5, 0.5, 3), rng.uniform(-0.5, 0.5, 3),
+                rng.uniform(-bound, bound, (3, 3)), np.zeros(3))
+    for tensor, want in zip((params.w1, params.b1, params.w2, params.b2), expected):
+        assert tensor.data.tobytes() == want.tobytes()
 
 
 def test_identity_kernel_at_zero_gap():
@@ -28,7 +37,7 @@ def test_kernel_saturates_for_large_gap():
 
 def test_kernel_component_range_and_affine_image():
     rng = np.random.default_rng(3)
-    params = TimeKernelParams.init(hidden=5, out=4, rng=rng)
+    params = TimeKernelParams.init(4, rng)
     w2 = params.w2.data
     b2 = params.b2.data
     lo = np.minimum(w2, 0.0).sum(axis=1) + b2
@@ -62,7 +71,7 @@ def test_equal_squared_preactivations_give_equal_outputs():
 
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(17)
-    params = TimeKernelParams.init(hidden=3, out=4, rng=rng)
+    params = TimeKernelParams.init(4, rng)
     coeff = rng.uniform(-1, 1, 4)
     tensors = [params.w1, params.b1, params.w2, params.b2]
 
@@ -79,7 +88,7 @@ def test_gradients_match_finite_differences():
 
 def test_array_of_gaps_matches_one_gap_at_a_time_bitwise():
     rng = np.random.default_rng(19)
-    params = TimeKernelParams.init(hidden=5, out=4, rng=rng)
+    params = TimeKernelParams.init(4, rng)
     gaps = rng.uniform(0, 20, (3, 7))
     batched = time_embed(gaps, params).data
     assert batched.shape == (3, 7, 4)
