@@ -22,7 +22,8 @@ ops are built from them and have no gradient rule of their own: ``scale``,
 ``affine`` and ``sub`` from ``mul`` and ``add`` with constants, ``matmul`` from
 ``einsum``, ``stack`` from ``reshape`` and ``concat``, ``mean`` from
 ``sum_over`` and ``scale``.  An op written elsewhere (the whole recurrent cell
-in :mod:`catnet.backbone`) uses the same helpers.  Nothing in the package calls
+in :mod:`catnet.backbone`, and visit attention and the global gate's weighted
+sum in :mod:`catnet.aggregate`) uses the same helpers.  Nothing in the package calls
 ``sub``, ``matmul``, ``stack`` or ``mean``; they stay only because the
 benchmark's op list (``OPS`` in ``bench/spans.py``) counts them by name, and
 they go together with that list.
@@ -484,6 +485,13 @@ def packed_rows(lengths) -> np.ndarray:
     lengths = np.asarray(lengths)
     step = np.arange(lengths.max())
     return np.where(step < lengths[:, None], (np.cumsum(lengths) - lengths)[:, None] + step, -1)
+
+
+def length_groups(lengths):
+    """``(patients, n)`` for each distinct length n of ``lengths``, shortest first: the
+    positions of the sequences n long, in batch order."""
+    lengths = np.asarray(lengths)
+    return [(np.flatnonzero(lengths == n), int(n)) for n in np.unique(lengths)]
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,16 @@ _MIN_GAP_DAYS = 0.05
 
 
 def _check_numbers(owner, names, prefix=""):
-    """Raise an error naming the field unless each named field of ``owner`` is a number."""
+    """Raise an error naming the field unless each named field of ``owner`` is a number that
+    fits a float; the error for one too large names the class as well."""
     for name in names:
-        if not _is_number(getattr(owner, name)):
-            raise ValueError(f"{prefix}{name} must be a number, got {getattr(owner, name)!r}")
+        value = getattr(owner, name)
+        if not _is_number(value):
+            raise ValueError(f"{prefix}{name} must be a number, got {value!r}")
+        try:
+            float(value)
+        except OverflowError:   # the value itself may be too long to print
+            raise ValueError(f"{type(owner).__name__}: {name} is too large for a float") from None
 
 
 @dataclass
@@ -178,6 +184,7 @@ def _patient_stream(rng: Generator, seed: int, index: int) -> Generator:
 
 def _generate_patient(config: GenConfig, rng: Generator, index: int, base_logits: np.ndarray,
                       offsets: np.ndarray, local_codes: np.ndarray, rules: list) -> PatientRecord:
+    pid = f"synth-{index:05d}"
     sex = "F" if rng.random() < 0.5 else "M"
     age = round(float(rng.uniform(20.0, 90.0)), 1)
 
@@ -199,6 +206,10 @@ def _generate_patient(config: GenConfig, rng: Generator, index: int, base_logits
         flat = present.nonzero()[0]
         bounds = flat.searchsorted(offsets).tolist()
         codes = local_codes[flat].tolist()
+        if not time < math.inf:   # a comparison only, so the draws stay as they are
+            raise ValueError(f"patient {pid}: visit {len(visits)} time is {time}; gaps drawn with "
+                             f"gap_log_mu={config.gap_log_mu!r} and "
+                             f"gap_log_sigma={config.gap_log_sigma!r} overflow")
         visits.append(Visit(time_days=time, codes={
             etype: codes[lo:hi] for etype, lo, hi in zip(EVENT_TYPES, bounds, bounds[1:])}))
         gap = max(float(rng.lognormal(config.gap_log_mu, config.gap_log_sigma)),
@@ -214,7 +225,7 @@ def _generate_patient(config: GenConfig, rng: Generator, index: int, base_logits
     p_mort = _sigmoid(config.mortality_intercept + config.mortality_weight * severe)
     mortality = bool(rng.random() < p_mort)
 
-    return PatientRecord(patient_id=f"synth-{index:05d}", age_years=age, sex=sex,
+    return PatientRecord(patient_id=pid, age_years=age, sex=sex,
                          visits=visits, mortality=mortality)
 
 

@@ -12,9 +12,10 @@ patient: one ``(V,)`` interval-kernel call, one ``(V, K, E)`` token gather,
 one masked ``(V, Q, K)`` cross-event softmax of each visit's Q gathered
 queries over its K tokens, one recurrent op that maps every gate's input over
 the V visits and runs ``T = max visits`` steps, each on the patients that
-still have a visit at that step, one masked ``(B, T, T)`` visit attention
-summed over visits into ``(B, H)``, one gate call over the V visits' packed
-times, also summed into ``(B, H)``, and one head call on the two sums added.
+still have a visit at that step, one visit-attention op summed over visits
+into ``(B, H)`` and one gate call over the V visits' packed times, also summed
+into ``(B, H)`` (both routes run on each group of patients with equal visit
+counts, over real visits only), and one head call on the two sums added.
 Padding (tokens past a visit's codes, steps past a patient's visits) is
 skipped, masked out or zeroed at every layer, and every sum that padding
 extends adds in a fixed order, so a patient's probabilities are bitwise the

@@ -10,7 +10,7 @@ from catnet.aggregate import (
     global_time_gate,
     visit_self_attention,
 )
-from catnet.time_kernel import TimeKernelParams
+from catnet.time_kernel import TimeKernelParams, time_embed
 from gradcheck import central_difference, max_relative_error
 
 
@@ -182,6 +182,118 @@ class TestGlobalGate:
         np.testing.assert_array_equal(padded[2][2:], 0.0)
         for a, b in zip(alone[3], padded[3]):
             np.testing.assert_array_equal(a, b)
+
+
+def padded_visit_attention(states, lengths):
+    """Visit attention as it ran on the padded grid: one masked ``(B, T, T)`` softmax of
+    tape primitives.  The reference that the grouped op matches bit for bit."""
+    mask = ad.packed_rows(lengths) >= 0
+    logits = ad.scale(ad.einsum("bqh,bkh->bqk", states, states), 1.0 / math.sqrt(states.shape[-1]))
+    alpha = ad.stable_softmax(logits, mask[:, None, :])
+    column = ad.weighted_row_sum(ad.tensor(mask[:, None, :]), alpha)
+    pooled = ad.reshape(ad.weighted_row_sum(column, states), (len(mask), states.shape[-1]))
+    return pooled, [alpha.data[b, :n, :n] for b, n in enumerate(lengths)]
+
+
+def padded_time_gate(states, delta_global, lengths, kernel):
+    """The global gate as it ran on the padded grid: gates placed by ``take_row``, scaled
+    and summed over visits by ``mul`` and ``sum_over``.  The reference for the grouped op."""
+    gates = ad.sigmoid(time_embed(delta_global, kernel))
+    grid = ad.take_row(gates, ad.packed_rows(lengths))
+    return ad.sum_over(ad.mul(grid, states), axis=1), np.split(gates.data, np.cumsum(lengths)[:-1])
+
+
+MIXED_LENGTHS = {
+    "all-equal": [5] * 6,
+    "lone-one-visit": [1, 7, 4, 7, 2],
+    "one-to-47": [int(n) for n in np.random.default_rng(20).permutation(np.arange(1, 48))],
+}
+
+
+class TestGroupedRoutesMatchThePaddedGrid:
+    """Both routes, one op per group of equal visit counts, against the padded composition:
+    values, alpha, gates and the gradients of the states, the gates and the gate kernel in
+    raw bytes, so +0.0 and -0.0 differ."""
+
+    def run(self, attention, gate, lengths, routes, seed):
+        rng = np.random.default_rng(seed)
+        hidden = 8
+        states = ad.parameter(padded_states([rng.uniform(-1, 1, (n, hidden)) for n in lengths],
+                                            lengths))
+        deltas = np.concatenate([np.cumsum(rng.uniform(0, 2, n)) - 0.5 for n in lengths])
+        kernel = TimeKernelParams.init(hidden, np.random.default_rng(seed + 1))
+        coeff = rng.uniform(-1, 1, (len(lengths), hidden))
+        coeff[rng.random(coeff.shape) < 0.15] = 0.0
+        coeff[rng.random(coeff.shape) < 0.15] = -0.0   # gradients of -0.0 reach both ops
+        with ad.Tape() as tape:
+            parts, alpha, gates = [], [], []
+            if "visit" in routes:
+                pooled, alpha = attention(states, lengths)
+                parts.append(pooled)
+            if "global" in routes:
+                gated, gates = gate(states, deltas, lengths, kernel)
+                parts.append(gated)
+            fused = parts[0] if len(parts) == 1 else ad.add(*parts)
+            # the gates tensor: the output of the last sigmoid on the tape
+            gate_tensor = [out for out, fn in tape._nodes if fn.__qualname__.startswith("sigmoid")]
+            ad.backward(ad.sum_over(ad.mul(fused, ad.tensor(coeff))))
+        grads = [t.grad for t in gate_tensor[-1:] + [kernel.w1, kernel.b1, kernel.w2, kernel.b2]]
+        return fused.data, states.grad, alpha, gates, [g.tobytes() for g in grads if g is not None]
+
+    @pytest.mark.parametrize("routes", [("visit", "global"), ("visit",), ("global",)],
+                             ids=["both", "visit", "global"])
+    @pytest.mark.parametrize("name", list(MIXED_LENGTHS))
+    def test_values_and_gradients_bitwise(self, name, routes):
+        lengths = MIXED_LENGTHS[name]
+        new = self.run(visit_self_attention, global_time_gate, lengths, routes, seed=21)
+        old = self.run(padded_visit_attention, padded_time_gate, lengths, routes, seed=21)
+        assert new[0].tobytes() == old[0].tobytes()
+        real = ad.packed_rows(lengths) >= 0
+        assert new[1][real].tobytes() == old[1][real].tobytes()
+        # padded rows: exact +0.0; the padded gate alone left g * 0.0 there, of either sign
+        assert new[1][~real].tobytes() == np.zeros(np.count_nonzero(~real) * 8).tobytes()
+        if "visit" in routes:   # the padded attention's sums from +0.0 left +0.0 there too
+            assert new[1].tobytes() == old[1].tobytes()
+        for got, want in zip(new[2] + new[3], old[2] + old[3]):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert new[4] == old[4]
+
+    def test_each_route_records_one_tape_node(self):
+        lengths = MIXED_LENGTHS["lone-one-visit"]
+        states = ad.parameter(np.ones((len(lengths), max(lengths), 3)))
+        with ad.Tape() as tape:
+            pooled, _ = visit_self_attention(states, lengths)
+            assert [out for out, _ in tape._nodes] == [pooled]
+            gated, _ = global_time_gate(states, np.zeros(sum(lengths)), lengths,
+                                        TimeKernelParams.init(3, np.random.default_rng(23)))
+            ops = [backward_fn.__qualname__.split(".")[0] for _, backward_fn in tape._nodes]
+        assert tape._nodes[-1][0] is gated
+        assert ops[-2:] == ["sigmoid", "global_time_gate"]   # the gates, then the one op
+
+    @pytest.mark.parametrize("route", ["visit", "global"])
+    def test_gradients_match_finite_differences_on_mixed_lengths(self, route):
+        rng = np.random.default_rng(22)
+        lengths = [2, 3, 1, 3, 2]
+        data = padded_states([rng.uniform(-1, 1, (n, 4)) for n in lengths], lengths)
+        deltas = np.concatenate([np.cumsum(rng.uniform(0, 2, n)) - 0.5 for n in lengths])
+        coeff = ad.tensor(rng.uniform(-1, 1, (len(lengths), 4)))
+        kernel = TimeKernelParams.init(4, rng)
+        kernel_tensors = [kernel.w1, kernel.b1, kernel.w2, kernel.b2] if route == "global" else []
+
+        def loss(states):
+            if route == "visit":
+                out, _ = visit_self_attention(states, lengths)
+            else:
+                out, _ = global_time_gate(states, deltas, lengths, kernel)
+            return ad.sum_over(ad.mul(out, coeff))
+
+        states = ad.parameter(data)
+        with ad.Tape():
+            ad.backward(loss(states))
+        analytic = [states.grad] + [t.grad.copy() for t in kernel_tensors]
+        numeric = central_difference(lambda: loss(ad.tensor(data)).item(),
+                                     [data] + [t.data for t in kernel_tensors])
+        assert max_relative_error(analytic, numeric) <= 1e-4
 
 
 class TestFuseAndPredict:

@@ -281,6 +281,29 @@ def test_rule_float_fields_that_are_not_numbers_rejected_naming_them(field, valu
         PlantedRule(**dict(rule, **{field: value}))
 
 
+@pytest.mark.parametrize("value", [10 ** 400, -10 ** 400], ids=["huge", "minus-huge"])
+@pytest.mark.parametrize("field", ["continue_prob", "gap_log_mu", "gap_log_sigma",
+                                   "mortality_intercept", "mortality_weight"])
+def test_float_fields_too_large_for_a_float_rejected_naming_them(field, value):
+    with pytest.raises(ValueError, match=f"^GenConfig: {field} is too large for a float$"):
+        dataclasses.replace(GenConfig.default(), **{field: value})
+
+
+@pytest.mark.parametrize("field", ["boost", "halflife_days"])
+def test_rule_float_fields_too_large_for_a_float_rejected_naming_them(field):
+    rule = dict(trigger_type="diag", trigger_code=0, effect_type="med", effect_code=0,
+                boost=14.0, halflife_days=30.0)
+    with pytest.raises(ValueError, match=f"^PlantedRule: {field} is too large for a float$"):
+        PlantedRule(**dict(rule, **{field: 10 ** 400}))
+
+
+def test_gaps_that_overflow_rejected_naming_the_patient_and_the_gap_fields():
+    config = dataclasses.replace(GenConfig.default(), n_patients=3, gap_log_mu=800.0)
+    with pytest.raises(ValueError, match=r"^patient synth-00000: visit 1 time is inf; gaps drawn "
+                                         r"with gap_log_mu=800.0 and gap_log_sigma=0.3 overflow$"):
+        generate(config, 0)
+
+
 @pytest.mark.parametrize("entry", ["0.1", True], ids=["string", "bool"])
 def test_prevalence_entries_that_are_not_numbers_rejected(entry):
     with pytest.raises(ValueError, match=r"^base prevalence for med must be a list of values "

@@ -108,8 +108,8 @@ def test_code_task_without_codes_rejected():
 
 
 @pytest.mark.parametrize("mode,backbone,nodes", [
-    ("task-aware", "gru", 43),
-    ("task-unaware", "lstm", 41),
+    ("task-aware", "gru", 36),
+    ("task-unaware", "lstm", 34),
 ])
 def test_training_forward_tape_nodes(mode, backbone, nodes):
     model, instances = build(tiny_config(mode=mode, backbone=backbone), seed=3)
